@@ -93,34 +93,6 @@ let gen_cmd profile edges capacity kind n seed output =
 
 (* ---------- solve ---------- *)
 
-(* Every algorithm derives its parameters from [Combine.default_config] so
-   standalone part runs ([--algorithm small|medium]) agree with what the
-   combination would feed them; [--seed] reaches every randomized engine.
-   [combine_report] captures the part-level report for the audit record. *)
-let algorithms ~seed ~parallel ~combine_report =
-  let dc = Sap.Combine.default_config in
-  let q = Sap.Combine.q_of_beta dc.Sap.Combine.beta in
-  let ell = Sap.Almost_uniform.ell_for_eps ~eps:dc.Sap.Combine.eps ~q in
-  [
-    ("combine", fun path ts ->
-        let r =
-          Sap.Combine.solve_report
-            ~config:{ dc with Sap.Combine.seed; parallel } path ts
-        in
-        combine_report := Some r;
-        r.Sap.Combine.solution);
-    ("small", fun path ts ->
-        Sap.Small.strip_pack ~parallel ~rounding:dc.Sap.Combine.rounding
-          ~prng:(Util.Prng.create seed) path ts);
-    ("medium", fun path ts ->
-        (Sap.Almost_uniform.run ~ell ~q ?max_states:dc.Sap.Combine.max_states
-           path ts).Sap.Almost_uniform.solution);
-    ("large", fun path ts -> Sap.Large.solve path ts);
-    ("sapu", fun path ts -> Sap.Sap_u.solve path ts);
-    ("firstfit", fun path ts -> fst (Dsa.First_fit.pack path ts));
-    ("exact", fun path ts -> Exact.Sap_brute.solve path ts);
-  ]
-
 let instance_stats_json path tasks =
   let s = Core.Instance_stats.compute path tasks in
   Obs.Json.Obj
@@ -146,21 +118,18 @@ let instance_stats_json path tasks =
 let solve_cmd input algorithm output quiet seed parallel stats_json audit
     trace_chrome =
   let path, tasks = read_instance input in
-  let combine_report = ref None in
-  let solve =
-    match List.assoc_opt algorithm (algorithms ~seed ~parallel ~combine_report)
-    with
-    | Some f -> f
+  let solver =
+    match Sap.Solvers.find algorithm with
+    | Some s -> s
     | None ->
         Printf.eprintf "error: unknown algorithm %S (have: %s)\n" algorithm
-          (String.concat ", "
-             (List.map fst (algorithms ~seed ~parallel ~combine_report)));
+          (String.concat ", " Sap.Solvers.names);
         exit 2
   in
   let collect = stats_json <> None || trace_chrome <> None in
   if collect then Obs.Report.enable_all ();
   let t0 = Obs.Clock.monotonic_seconds () in
-  let sol = solve path tasks in
+  let sol, combine_report = solver.Sap.Solvers.run ~seed ~parallel path tasks in
   let dt = Obs.Clock.monotonic_seconds () -. t0 in
   (* Snapshot before the LP bound below runs more simplex iterations, and
      before the audit's checker/ratio metrics land. *)
@@ -183,7 +152,7 @@ let solve_cmd input algorithm output quiet seed parallel stats_json audit
   let lp_ub = Lp.Ufpp_lp.upper_bound path tasks in
   let weight = Core.Solution.sap_weight sol in
   let audit_json =
-    match !combine_report with
+    match combine_report with
     | Some r ->
         Sap.Combine.audit_json (Sap.Combine.audit ~lp_upper_bound:lp_ub path tasks r)
     | None ->
@@ -215,7 +184,7 @@ let solve_cmd input algorithm output quiet seed parallel stats_json audit
   end;
   if audit then begin
     print_endline "--- audit ---";
-    match !combine_report with
+    match combine_report with
     | Some r ->
         Format.printf "%a@." Sap.Combine.pp_audit
           (Sap.Combine.audit ~lp_upper_bound:lp_ub path tasks r)
@@ -992,6 +961,11 @@ let lab_run_cmd dir output max_nodes jobs gate quiet =
 
 let lab_hunt_cmd alg seed generations population budget hof_size jobs output
     hof_dir quiet =
+  if not (List.mem alg Lab.Hunt.algs) then begin
+    Printf.eprintf "error: unknown algorithm %S (have: %s)\n" alg
+      (String.concat ", " Lab.Hunt.algs);
+    exit 2
+  end;
   Obs.Metrics.enable ();
   let config =
     {
@@ -1189,6 +1163,8 @@ open Cmdliner
 let input_arg =
   Arg.(required & opt (some string) None & info [ "i"; "input" ] ~doc:"Instance file.")
 
+let sap_algorithms_doc = String.concat " | " Sap.Solvers.names
+
 let gen_term =
   let profile =
     Arg.(value & opt string "uniform"
@@ -1212,8 +1188,7 @@ let gen_term =
 let solve_term =
   let algorithm =
     Arg.(value & opt string "combine"
-         & info [ "algorithm"; "a" ]
-             ~doc:"combine | small | medium | large | sapu | firstfit | exact")
+         & info [ "algorithm"; "a" ] ~doc:sap_algorithms_doc)
   in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Solution file.")
@@ -1365,8 +1340,7 @@ let batch_term =
   in
   let algorithm =
     Arg.(value & opt string "combine"
-         & info [ "algorithm"; "a" ]
-             ~doc:"combine | small | medium | large | sapu | firstfit | exact")
+         & info [ "algorithm"; "a" ] ~doc:sap_algorithms_doc)
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let timeout_ms =
@@ -1534,8 +1508,7 @@ let loadgen_term =
   in
   let algorithm =
     Arg.(value & opt string "combine"
-         & info [ "algorithm"; "a" ]
-             ~doc:"combine | small | medium | large | sapu | firstfit | exact")
+         & info [ "algorithm"; "a" ] ~doc:sap_algorithms_doc)
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Instance-mix PRNG seed.")
@@ -1631,7 +1604,7 @@ let lab_hunt_term =
   let alg =
     Arg.(value & opt string Lab.Hunt.default_config.Lab.Hunt.alg
          & info [ "alg" ]
-             ~doc:"Algorithm to hunt: small | medium | large | combine | ring.")
+             ~doc:("Algorithm to hunt: " ^ String.concat " | " Lab.Hunt.algs ^ "."))
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Hunt PRNG seed.") in
   let generations =
@@ -1722,7 +1695,7 @@ let round_solve_term =
   let algorithm =
     Arg.(value & opt string "bands"
          & info [ "a"; "algorithm" ]
-             ~doc:"first-fit | next-fit | bands | exact")
+             ~doc:(String.concat " | " Round.Solvers.names))
   in
   let output =
     Arg.(value & opt (some string) None

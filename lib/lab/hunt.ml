@@ -28,7 +28,7 @@ let default_config =
     max_tasks = 12;
   }
 
-let algs = List.map fst Ratio.bounds
+let algs = Ratio.algs
 
 type scored = {
   instance : Corpus.instance;
@@ -141,13 +141,14 @@ let evaluate ~alg ~max_nodes instance =
   let r =
     match instance with
     | Corpus.Path_instance (path, tasks) ->
-        let pa =
-          List.find (fun pa -> pa.Ratio.pa_name = alg) Ratio.path_algs
-        in
-        let subset = pa.Ratio.pa_subset path tasks in
+        let s = Option.get (Sap.Solvers.find alg) in
+        let subset = s.Sap.Solvers.subset path tasks in
         if subset = [] then zero true
         else
-          let w = Core.Solution.sap_weight (pa.Ratio.pa_run path subset) in
+          let sol, _ =
+            s.Sap.Solvers.run ~seed:cc.Sap.Combine.seed ~parallel:false path subset
+          in
+          let w = Core.Solution.sap_weight sol in
           let out = Exact_bb.solve ~max_nodes path subset in
           let opt =
             if out.Exact_bb.optimal then out.Exact_bb.value
@@ -225,7 +226,7 @@ let run ?pool config =
     invalid_arg "Lab.Hunt: need generations >= 1, population >= 2, hof >= 1";
   Obs.Trace.with_span "lab.hunt.run" ~attrs:[ ("alg", config.alg) ]
   @@ fun () ->
-  let bound = List.assoc config.alg Ratio.bounds in
+  let bound = Ratio.bound_of config.alg in
   let master = Prng.create config.seed in
   (* Per-candidate streams: O(1) jump to the slot, then split so each
      candidate draws an independent stream of arbitrary length.  Derived

@@ -11,7 +11,7 @@
     split, weights jittered, spans shifted.
 
     Candidates are scored through the exact same per-algorithm runners
-    the ratio pipeline uses ({!Ratio.path_algs} / {!Ratio.ring_solve}),
+    the ratio pipeline uses ({!Sap.Solvers} / {!Ratio.ring_solve}),
     so a hunted ratio is precisely what `lab run` will reproduce once the
     instance is frozen into the corpus.  The oracle is {!Exact_bb} under
     a per-candidate node budget; when the budget exhausts, the score
@@ -26,7 +26,7 @@
     pooled run returns bit-identical results to a sequential one. *)
 
 type config = {
-  alg : string;  (** small | medium | large | combine | ring *)
+  alg : string;  (** one of {!algs} *)
   seed : int;
   generations : int;
   population : int;  (** candidates evaluated per generation *)
@@ -40,7 +40,7 @@ val default_config : config
     hall of fame of 5, at most 12 tasks per candidate. *)
 
 val algs : string list
-(** The huntable algorithm names (the {!Ratio} vocabulary). *)
+(** The huntable algorithm names: {!Ratio.algs}. *)
 
 type scored = {
   instance : Corpus.instance;

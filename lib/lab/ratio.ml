@@ -59,84 +59,31 @@ type report = {
   disagreements : int;
 }
 
-(* ---------- the proven bounds, instantiated at the default config ---------- *)
+(* ---------- the measured algorithms and their proven bounds ---------- *)
 
 let cfg = Sap.Combine.default_config
 
 let eps = cfg.Sap.Combine.eps
 
-let small_bound = 4.0 +. eps (* Theorem 1 *)
+(* The registry engines with a proven bound, in registry order; the ring
+   algorithm is not a registry engine and keeps its own bound below. *)
+let measured = List.filter (fun s -> s.Sap.Solvers.bound <> None) Sap.Solvers.all
 
-let medium_bound = 2.0 +. eps (* Theorem 2 with the Elevator, alpha = 2 *)
-
-let large_bound = 3.0 (* Theorem 3, k = 2 *)
-
-let combine_bound = small_bound +. medium_bound +. large_bound (* Lemma 3 *)
+let solver_bound (s : Sap.Solvers.t) = Option.get s.Sap.Solvers.bound
 
 let ring_knapsack_eps = 0.1
 
-let ring_bound = 1.0 +. combine_bound +. ring_knapsack_eps (* Lemma 18 *)
-
-let bounds =
-  [
-    ("small", small_bound);
-    ("medium", medium_bound);
-    ("large", large_bound);
-    ("combine", combine_bound);
-    ("ring", ring_bound);
-  ]
-
-(* ---------- the per-algorithm runners ---------- *)
-
-type path_alg = {
-  pa_name : string;
-  pa_bound : float;
-  pa_subset : Core.Path.t -> Core.Task.t list -> Core.Task.t list;
-  pa_run : Core.Path.t -> Core.Task.t list -> Core.Solution.sap;
-}
-
-let split_part part path tasks =
-  part (Core.Classify.split3 path ~delta:cfg.Sap.Combine.delta ~large_frac:0.5 tasks)
-
-let path_algs =
-  let q = Sap.Combine.q_of_beta cfg.Sap.Combine.beta in
-  let ell = Sap.Almost_uniform.ell_for_eps ~eps ~q in
-  [
-    {
-      pa_name = "small";
-      pa_bound = small_bound;
-      pa_subset = split_part (fun s -> s.Core.Classify.small);
-      pa_run =
-        (fun path ts ->
-          Sap.Small.strip_pack ~rounding:cfg.Sap.Combine.rounding
-            ~prng:(Util.Prng.create cfg.Sap.Combine.seed)
-            path ts);
-    };
-    {
-      pa_name = "medium";
-      pa_bound = medium_bound;
-      pa_subset = split_part (fun s -> s.Core.Classify.medium);
-      pa_run =
-        (fun path ts ->
-          (Sap.Almost_uniform.run ~ell ~q ?max_states:cfg.Sap.Combine.max_states
-             path ts)
-            .Sap.Almost_uniform.solution);
-    };
-    {
-      pa_name = "large";
-      pa_bound = large_bound;
-      pa_subset = split_part (fun s -> s.Core.Classify.large);
-      pa_run = (fun path ts -> Sap.Large.solve path ts);
-    };
-    {
-      pa_name = "combine";
-      pa_bound = combine_bound;
-      pa_subset = (fun _ ts -> ts);
-      pa_run = (fun path ts -> Sap.Combine.solve ~config:cfg path ts);
-    };
-  ]
+let ring_bound =
+  1.0
+  +. solver_bound (Option.get (Sap.Solvers.find "combine"))
+  +. ring_knapsack_eps (* Lemma 18 *)
 
 let ring_solve r = Sap.Ring_algo.solve ~config:cfg ~knapsack_eps:ring_knapsack_eps r
+
+let algs = List.map (fun s -> s.Sap.Solvers.name) measured @ [ "ring" ]
+
+let bound_of alg =
+  if alg = "ring" then ring_bound else solver_bound (Option.get (Sap.Solvers.find alg))
 
 (* ---------- one measurement ---------- *)
 
@@ -180,15 +127,17 @@ let measure_path ?max_nodes ?pool ~entry ~alg ~bound path subset alg_weight =
     bb_nodes = out.Exact_bb.nodes;
   }
 
-let run_path_entry ?max_nodes ?pool _t entry path tasks =
+let run_path_entry ?max_nodes ?pool entry path tasks =
   List.map
-    (fun pa ->
-      let subset = pa.pa_subset path tasks in
-      let sol = pa.pa_run path subset in
-      measure_path ?max_nodes ?pool ~entry ~alg:pa.pa_name ~bound:pa.pa_bound
-        path subset
+    (fun (s : Sap.Solvers.t) ->
+      let subset = s.Sap.Solvers.subset path tasks in
+      let sol, _ =
+        s.Sap.Solvers.run ~seed:cfg.Sap.Combine.seed ~parallel:false path subset
+      in
+      measure_path ?max_nodes ?pool ~entry ~alg:s.Sap.Solvers.name
+        ~bound:(solver_bound s) path subset
         (Core.Solution.sap_weight sol))
-    path_algs
+    measured
 
 let run_ring_entry ?max_nodes entry (r : Ring.t) =
   let sol = ring_solve r in
@@ -342,7 +291,7 @@ let run ?max_nodes ?pool (t : Corpus.t) =
               (Printf.sprintf "Lab.Ratio: corpus entry %s: %s"
                  entry.Corpus.file msg)
         | Ok (Corpus.Path_instance (path, tasks)) ->
-            run_path_entry ?max_nodes ?pool t entry path tasks
+            run_path_entry ?max_nodes ?pool entry path tasks
         | Ok (Corpus.Ring_instance r) -> run_ring_entry ?max_nodes entry r
         (* ROUND-SAP entries are measured by Round_lab (rounds vs. a
            lower bound, not weight vs. OPT); in a mixed corpus they are
@@ -436,7 +385,8 @@ let report_json r =
             ("eps", Json.Float eps);
             ("delta", Json.Float cfg.Sap.Combine.delta);
             ("beta", Json.Float cfg.Sap.Combine.beta);
-            ("bounds", Json.Obj (List.map (fun (a, b) -> (a, Json.Float b)) bounds));
+            ( "bounds",
+              Json.Obj (List.map (fun a -> (a, Json.Float (bound_of a))) algs) );
           ] );
       ("measurements", Json.List (List.map measurement_json r.measurements));
       ("summary", Json.List (List.map summary_json r.summaries));
@@ -456,7 +406,7 @@ let pp_summary ppf r =
       let fo = function Some r -> Printf.sprintf "%.4f" r | None -> "-" in
       Format.fprintf ppf "%-8s %5d %9s %9s %7.2f %5d %4d  %s@." s.s_alg
         s.count (fo s.max_ratio) (fo s.mean_ratio)
-        (List.assoc s.s_alg bounds)
+        (bound_of s.s_alg)
         s.exact_opts s.lp_fallbacks
         (Option.value ~default:"-" s.worst_file))
     r.summaries;

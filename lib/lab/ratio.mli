@@ -25,7 +25,7 @@ val bound_kind_to_string : bound_kind -> string
 type measurement = {
   file : string;
   family : string;
-  alg : string;  (** small | medium | large | combine | ring *)
+  alg : string;  (** a name in {!algs} *)
   subset_size : int;  (** tasks handed to the algorithm *)
   alg_weight : float;
   opt : float;  (** exact optimum, or certified upper bound *)
@@ -75,23 +75,16 @@ type report = {
   disagreements : int;  (** brute cross-checks that failed *)
 }
 
-val bounds : (string * float) list
-(** Algorithm name to instantiated proven bound. *)
+val algs : string list
+(** The measured algorithms: the {!Sap.Solvers} entries with a proven
+    bound, in registry order, then [ring]. *)
 
-type path_alg = {
-  pa_name : string;  (** small | medium | large | combine *)
-  pa_bound : float;  (** the instantiated proven bound *)
-  pa_subset : Core.Path.t -> Core.Task.t list -> Core.Task.t list;
-      (** the classified task subset the algorithm is responsible for
-          (identity for [combine]) *)
-  pa_run : Core.Path.t -> Core.Task.t list -> Core.Solution.sap;
-      (** the algorithm itself, at the lab's pinned configuration *)
-}
+val bound_of : string -> float
+(** The instantiated proven bound of a name in {!algs}.  Raises
+    [Invalid_argument] on a name without one. *)
 
-val path_algs : path_alg list
-(** The four path algorithms exactly as the pipeline measures them —
-    {!Lab.Hunt} scores its candidates through these same runners, so a
-    hunted ratio is the ratio the corpus gate will reproduce. *)
+val ring_bound : float
+(** [1 + alpha + eps'] with [alpha] the [combine] bound (Lemma 18). *)
 
 val ring_solve : Core.Ring.t -> Core.Ring.solution
 (** The Theorem 5 ring algorithm at the lab's pinned configuration. *)

@@ -29,9 +29,9 @@ val default_config : config
 
 val q_of_beta : float -> int
 (** [ceil(log2 1/beta)], at least 1 — the elevation exponent the
-    combination uses.  Exposed so front-ends (the CLI's standalone
-    [medium] algorithm) derive [ell]/[q] from the same defaults instead of
-    hardcoding them.  Requires [beta] in (0, 1/2). *)
+    combination uses.  Exposed so {!Solvers}' standalone [medium] engine
+    derives [ell]/[q] from the same defaults instead of hardcoding them.
+    Requires [beta] in (0, 1/2). *)
 
 type part = Small_part | Medium_part | Large_part
 

@@ -10,7 +10,7 @@
     latency histograms — [server.latency.total] (every request, plus
     [.hit]/[.miss] splits for solves), [server.latency.queue]
     (receive → worker dequeue) and [server.latency.solve] (solver wall
-    time, also split per algorithm as
+    time, also split per {!Sap.Solvers} engine as
     [server.latency_seconds.<algorithm>]) — alongside
     [server.queue_depth], [server.cache.{hits,misses,evictions}] and
     per-request [server.request] spans when tracing is on.  Request

@@ -94,7 +94,7 @@ let solve_all_algorithms () =
           (fun a ->
             Alcotest.(check int) ("solve " ^ a) 0
               (run [ "solve"; "-i"; inst; "-a"; a; "-q" ]))
-          [ "combine"; "small"; "medium"; "large"; "firstfit"; "exact" ])
+          Sap.Solvers.names)
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -394,6 +394,11 @@ let unknown_algorithm_fails () =
         Alcotest.(check int) "gen" 0 (run [ "gen"; "-o"; inst ]);
         Alcotest.(check int) "bad algo" 2 (run [ "solve"; "-i"; inst; "-a"; "nonsense" ]))
 
+let hunt_unknown_algorithm_fails () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else
+    Alcotest.(check int) "bad hunt algo" 2 (run [ "lab"; "hunt"; "--alg"; "bogus" ])
+
 let () =
   Alcotest.run "cli"
     [
@@ -404,6 +409,7 @@ let () =
           case "all algorithms" solve_all_algorithms;
           case "stats json" solve_emits_stats_json;
           case "unknown algorithm" unknown_algorithm_fails;
+          case "lab hunt unknown algorithm" hunt_unknown_algorithm_fails;
           case "solve --audit" solve_audit_output;
           case "solve --trace-chrome" solve_trace_chrome;
           case "unreadable file" unreadable_file_is_clean_error;

@@ -42,25 +42,38 @@ let elevator_state_cap_flag () =
   Alcotest.(check bool) "flag tripped" false r.Sap.Elevator.exact;
   Helpers.assert_feasible_sap path r.Sap.Elevator.solution
 
-(* ---------- Exact_dp wrapper ---------- *)
+(* ---------- optimal_band as an exact SAP solver ---------- *)
+
+(* With [cap] = the largest capacity the clip is a no-op, so the DP is an
+   exact SAP solver whenever it is not truncated.  [exact_dp] views it that
+   way: [Some solution] iff the DP ran to completion. *)
+let exact_dp ?max_states path tasks =
+  let r =
+    Sap.Elevator.optimal_band ~cap:(Path.max_capacity path) ?max_states path
+      tasks
+  in
+  if r.Sap.Elevator.exact then Some r.Sap.Elevator.solution else None
 
 let exact_dp_matches_brute =
   Helpers.seed_property ~count:30 "Exact_dp = brute force when exact" (fun seed ->
       let path, tasks = Helpers.tiny_instance ~max_tasks:8 seed in
-      match Sap.Exact_dp.value path tasks with
+      match exact_dp path tasks with
       | None -> true (* cap hit: no claim *)
-      | Some v -> Helpers.close_enough v (Exact.Sap_brute.value path tasks))
+      | Some sol ->
+          Helpers.close_enough
+            (Core.Solution.sap_weight sol)
+            (Exact.Sap_brute.value path tasks))
 
 let exact_dp_truncation_returns_none () =
   let path = Path.uniform ~edges:4 ~capacity:12 in
   let prng = Util.Prng.create 4 in
   let tasks = Gen.Workloads.mixed_tasks ~prng ~path ~n:8 () in
   Alcotest.(check bool) "None under a 1-state cap" true
-    (Sap.Exact_dp.solve ~max_states:1 path tasks = None)
+    (exact_dp ~max_states:1 path tasks = None)
 
 let exact_dp_empty () =
   let path = Path.uniform ~edges:2 ~capacity:4 in
-  Alcotest.(check bool) "empty exact" true (Sap.Exact_dp.solve path [] = Some [])
+  Alcotest.(check bool) "empty exact" true (exact_dp path [] = Some [])
 
 (* ---------- partition (Lemma 14) ---------- *)
 

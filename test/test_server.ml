@@ -475,6 +475,54 @@ let e2e_error_responses () =
   | Proto.Timed_out { id = 1 } -> ()
   | _ -> Alcotest.fail "expected timeout"
 
+(* Every registry engine is servable, and the server's answer is the
+   engine's own: same arguments, same weight. *)
+let e2e_registry_engines () =
+  let srv = Server.create ~config:{ Server.default_config with Server.workers = Some 2 } () in
+  Fun.protect ~finally:(fun () -> Server.drain srv) @@ fun () ->
+  (* Uniform capacities: [sapu] is the SAP-U baseline. *)
+  let path = Path.uniform ~edges:6 ~capacity:16 in
+  let tasks = Gen.Workloads.mixed_tasks ~prng:(Util.Prng.create 11) ~path ~n:10 () in
+  List.iteri
+    (fun id (s : Sap.Solvers.t) ->
+      let name = s.Sap.Solvers.name in
+      match
+        Server.handle srv
+          (Proto.Solve
+             { id; params = { default_params with Proto.algorithm = name }; path; tasks })
+      with
+      | Proto.Solved { solution; summary; _ } ->
+          Helpers.assert_feasible_sap path solution;
+          Alcotest.(check bool) (name ^ ": tasks are the instance's") true
+            (Core.Checker.subset_of (Core.Solution.sap_tasks solution) tasks);
+          let direct, _ =
+            s.Sap.Solvers.run ~seed:default_params.Proto.seed ~parallel:false path tasks
+          in
+          Alcotest.(check (float 1e-9)) (name ^ ": weight = direct run")
+            (Core.Solution.sap_weight direct) summary.Proto.weight
+      | _ -> Alcotest.failf "%s: expected solved" name)
+    Sap.Solvers.all
+
+let e2e_unknown_algorithm_lists_registry () =
+  let srv = Server.create ~config:{ Server.default_config with Server.workers = Some 1 } () in
+  Fun.protect ~finally:(fun () -> Server.drain srv) @@ fun () ->
+  let path, tasks = Helpers.tiny_instance 7 in
+  match
+    Server.handle srv
+      (Proto.Solve
+         { id = 0; params = { default_params with Proto.algorithm = "nonsense" }; path; tasks })
+  with
+  | Proto.Failed { code = Proto.Unknown_algorithm; message; _ } ->
+      let prefix = "unknown algorithm \"nonsense\" (have: " in
+      Alcotest.(check bool) "message prefix" true (String.starts_with ~prefix message);
+      let listed =
+        String.sub message (String.length prefix)
+          (String.length message - String.length prefix - 1)
+      in
+      Alcotest.(check (list string)) "lists the registry" Sap.Solvers.names
+        (String.split_on_char ',' listed |> List.map String.trim)
+  | _ -> Alcotest.fail "expected unknown-algorithm"
+
 let e2e_round_solve () =
   let srv =
     Server.create
@@ -918,6 +966,8 @@ let () =
         [
           case "concurrent solves + cache hits" e2e_concurrent_solves_and_cache;
           case "error + timeout responses" e2e_error_responses;
+          case "every registry engine served" e2e_registry_engines;
+          case "unknown algorithm lists the registry" e2e_unknown_algorithm_lists_registry;
           case "round-solve lifecycle + cache separation" e2e_round_solve;
           case "graceful drain under load" e2e_shutdown_under_load;
         ] );
