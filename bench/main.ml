@@ -6,10 +6,11 @@
    Run with:  dune exec bench/main.exe
    Pass "quick" to skip the bechamel timing section.
    Pass "--stats-json FILE" to collect the solver-internal counters
-   (sap-stats v1, the same schema sap_cli emits) across the whole run, so
-   BENCH_*.json trajectories can track DP state counts, simplex iterations
-   and rounding losses, not just wall time.  Collection stays off without
-   the flag, keeping the timed sections (S1) unperturbed.
+   (sap-stats v3, the same schema sap_cli emits) across the whole run and
+   write them to FILE: DP state counts, simplex iterations and rounding
+   losses, not just wall time — what bench-diff compares against
+   bench/baseline.json.  Collection stays off without the flag, keeping
+   the timed sections (S1) unperturbed.
    Pass "--compact" to drop the span trees from that report (metric
    summaries only — the form committed as bench/baseline.json; bench-diff
    ignores spans either way). *)

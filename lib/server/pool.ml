@@ -129,12 +129,6 @@ let submit t f =
   bump ();
   fut
 
-let completed fut =
-  Mutex.lock fut.fm;
-  let r = fut.st <> Pending in
-  Mutex.unlock fut.fm;
-  r
-
 let await_result fut =
   Mutex.lock fut.fm;
   let rec wait () =

@@ -40,8 +40,10 @@
 
 module Ring : sig
   (** Pure consistent-hash ring: [vnodes] virtual points per member,
-      hashed with FNV-1a/64 ([hash (name ^ "#" ^ i)]); a key is owned by
-      the first point clockwise from [fnv1a64 key].  Adding a member
+      hashed with FNV-1a/64 and finalised with the murmur3 fmix64 mixer
+      ([mix64 (fnv1a64 (name ^ "#" ^ i))]; FNV-1a alone clumps labels
+      that differ only in their trailing index); a key is owned by the
+      first point clockwise from [mix64 (fnv1a64 key)].  Adding a member
       steals keys only {e for} the new member; removing one re-homes only
       the keys it owned — both in expectation [1/n] of the keyspace. *)
 

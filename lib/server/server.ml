@@ -2,9 +2,10 @@ module P = Protocol
 
 (* Latency histograms (seconds).  [total] spans receive -> respond for
    every request; the [queue]/[solve] phases and the hit/miss split only
-   apply to solve requests.  Request totals (requests/solved/errors/
-   timeouts) live on the server value itself — the per-server [Atomic.t]
-   fields are the single source of truth, surfaced via [stats_json]. *)
+   apply to solve and round-solve requests.  Request totals (requests/
+   solved/errors/timeouts) live on the server value itself — the
+   per-server [Atomic.t] fields are the single source of truth, surfaced
+   via [stats_json]. *)
 let h_total = Obs.Metrics.histogram "server.latency.total"
 let h_total_hit = Obs.Metrics.histogram "server.latency.total.hit"
 let h_total_miss = Obs.Metrics.histogram "server.latency.total.miss"
@@ -28,18 +29,12 @@ let default_config =
     log = None;
   }
 
-type cached_solve = {
-  c_scheduled : int;
-  c_weight : float;
-  c_solution : Core.Solution.sap;
-}
-
 (* One LRU serves both problems.  {!Fingerprint.solve_key} embeds the
    problem kind, so a [solve] and a [round-solve] entry can never share a
    key; the variant additionally keeps even a 64-bit hash collision
    across problems from serving a round packing as a SAP solution. *)
 type cache_entry =
-  | Sap_result of cached_solve
+  | Sap_result of Core.Solution.sap
   | Round_result of Core.Solution.sap list
 
 (* A registered session: the state machine plus its own lock — resolves
@@ -86,12 +81,9 @@ let create ?(config = default_config) () =
         Sap.Solvers.names;
   }
 
-type pending = {
-  ready : unit -> bool;
-  force : unit -> Protocol.response;
-}
+type pending = unit -> Protocol.response
 
-let immediate resp = { ready = (fun () -> true); force = (fun () -> resp) }
+let immediate resp () = resp
 
 let draining t = Atomic.get t.draining_flag
 
@@ -123,37 +115,25 @@ let stats_json t =
       ("metrics", Obs.Metrics.snapshot_json ());
     ]
 
-let fail t ~id code message =
-  Atomic.incr t.n_errors;
-  P.Failed { id; code; message }
+let failed ~id code message = P.Failed { id; code; message }
 
-let timeout t ~id =
-  Atomic.incr t.n_timeouts;
-  P.Timed_out { id }
+let shutting_down ~id = failed ~id P.Shutting_down "server is draining"
 
-let solved t ~id ~cached ~time_ms (c : cached_solve) =
-  Atomic.incr t.n_solved;
-  P.Solved
-    {
-      id;
-      summary =
-        { scheduled = c.c_scheduled; weight = c.c_weight; cached; time_ms };
-      solution = c.c_solution;
-    }
-
-let round_solved t ~id ~cached ~time_ms rounds =
-  Atomic.incr t.n_solved;
-  P.Round_solved
-    {
-      id;
-      summary =
-        {
-          P.r_rounds = List.length rounds;
-          r_cached = cached;
-          r_time_ms = time_ms;
-        };
-      rounds;
-    }
+(* The one road to the pool.  A drain that began after admission
+   ([Pool.Closed]) is the same refusal as admission-time draining.  Past
+   [deadline] this request is answered with a timeout while its job runs
+   on to completion — the pool has no preemption, and a finished solve
+   still warms the cache. *)
+let pooled t ~id ?deadline job : pending =
+  match Pool.submit t.pool job with
+  | exception Pool.Closed -> immediate (shutting_down ~id)
+  | fut -> (
+      match deadline with
+      | None -> fun () -> Pool.await fut
+      | Some deadline ->
+          fun () ->
+            Option.value (Pool.await_until fut ~deadline)
+              ~default:(P.Timed_out { id }))
 
 (* ---------- sessions ---------- *)
 
@@ -178,69 +158,50 @@ let session_summary (s : Session.summary) : P.session_summary =
     s_time_ms = s.Session.time_ms;
   }
 
-let session_solved t ~id ~session ~event (sol, summary) =
-  Atomic.incr t.n_solved;
-  P.Session_reply
-    {
-      id;
-      session;
-      event;
-      summary = Some (session_summary summary);
-      solution = sol;
-    }
+let session_reply ~id ~session ~event ?summary solution =
+  P.Session_reply { id; session; event; summary; solution }
 
-let no_session t ~id sid =
-  fail t ~id P.Unknown_session (Printf.sprintf "unknown session %d" sid)
+let session_solved ~id ~session ~event (sol, summary) =
+  session_reply ~id ~session ~event ~summary:(session_summary summary) sol
+
+let no_session ~id sid =
+  failed ~id P.Unknown_session (Printf.sprintf "unknown session %d" sid)
 
 (* [session-open] and [resolve] do solver work, so they run as pool jobs
    like [solve] does; the attribute-only deltas mutate session state
    inline at admission time, which keeps a pipelined open/add/resolve
    sequence ordered without a pool round-trip per delta. *)
 let submit_session_open t ~id ~seed path tasks =
-  let job () =
-    match Session.create ~seed path tasks with
-    | Error m -> fail t ~id P.Bad_request m
-    | Ok ses -> (
-        match Session.resolve ~cold:true ses with
-        | Error m -> fail t ~id P.Internal m
-        | Ok result ->
-            let sid = fresh_sid t in
-            Mutex.protect t.sessions_lock (fun () ->
-                Hashtbl.replace t.sessions sid
-                  { se = ses; se_lock = Mutex.create () });
-            session_solved t ~id ~session:sid ~event:P.Sess_opened result)
-  in
-  match Pool.submit t.pool job with
-  | exception Pool.Closed ->
-      immediate (fail t ~id P.Shutting_down "server is draining")
-  | fut -> { ready = (fun () -> Pool.completed fut); force = (fun () -> Pool.await fut) }
+  pooled t ~id @@ fun () ->
+  match Session.create ~seed path tasks with
+  | Error m -> failed ~id P.Bad_request m
+  | Ok ses -> (
+      match Session.resolve ~cold:true ses with
+      | Error m -> failed ~id P.Internal m
+      | Ok result ->
+          let sid = fresh_sid t in
+          Mutex.protect t.sessions_lock (fun () ->
+              Hashtbl.replace t.sessions sid
+                { se = ses; se_lock = Mutex.create () });
+          session_solved ~id ~session:sid ~event:P.Sess_opened result)
 
 let submit_session_resolve t ~id ~session ~cold =
   match find_session t session with
-  | None -> immediate (no_session t ~id session)
-  | Some entry -> (
-      let job () =
-        Mutex.protect entry.se_lock (fun () ->
-            match Session.resolve ~cold entry.se with
-            | Error m -> fail t ~id P.Internal m
-            | Ok result ->
-                session_solved t ~id ~session ~event:P.Sess_resolved result)
-      in
-      match Pool.submit t.pool job with
-      | exception Pool.Closed ->
-          immediate (fail t ~id P.Shutting_down "server is draining")
-      | fut ->
-          { ready = (fun () -> Pool.completed fut); force = (fun () -> Pool.await fut) })
+  | None -> immediate (no_session ~id session)
+  | Some entry ->
+      pooled t ~id @@ fun () ->
+      Mutex.protect entry.se_lock (fun () ->
+          match Session.resolve ~cold entry.se with
+          | Error m -> failed ~id P.Internal m
+          | Ok result -> session_solved ~id ~session ~event:P.Sess_resolved result)
 
 let session_delta t ~id ~session apply =
   match find_session t session with
-  | None -> no_session t ~id session
+  | None -> no_session ~id session
   | Some entry -> (
       match Mutex.protect entry.se_lock (fun () -> apply entry.se) with
-      | Error m -> fail t ~id P.Bad_request m
-      | Ok () ->
-          P.Session_reply
-            { id; session; event = P.Sess_ack; summary = None; solution = [] })
+      | Error m -> failed ~id P.Bad_request m
+      | Ok () -> session_reply ~id ~session ~event:P.Sess_ack [])
 
 let session_close t ~id ~session =
   let entry =
@@ -250,11 +211,10 @@ let session_close t ~id ~session =
         e)
   in
   match entry with
-  | None -> no_session t ~id session
+  | None -> no_session ~id session
   | Some entry ->
       Mutex.protect entry.se_lock (fun () -> Session.close entry.se);
-      P.Session_reply
-        { id; session; event = P.Sess_closed; summary = None; solution = [] }
+      session_reply ~id ~session ~event:P.Sess_closed []
 
 (* ---------- per-request telemetry ---------- *)
 
@@ -275,14 +235,14 @@ type telemetry = {
   finalized : bool Atomic.t;
 }
 
-let telemetry t ~verb ?alg ?solve_seed ?cache_state () =
+let telemetry t ~verb ?alg ?solve_seed () =
   {
     rid = Atomic.fetch_and_add t.seq 1;
     t_recv = Obs.Clock.monotonic_seconds ();
     verb;
     alg;
     solve_seed;
-    cache_state;
+    cache_state = None;
     queue_s = Atomic.make Float.nan;
     solve_s = Atomic.make Float.nan;
     finalized = Atomic.make false;
@@ -336,25 +296,132 @@ let log_line tel resp ~total =
   kv "total_ms" (ms total);
   Buffer.contents b
 
-(* Wrap a pending so the respond timestamp, total-latency observations and
-   the structured log line happen exactly once, when the transport forces
-   the response (FIFO flush order = respond order). *)
-let finalize t tel pending =
-  let record resp =
-    if not (Atomic.exchange tel.finalized true) then begin
-      let total = Obs.Clock.monotonic_seconds () -. tel.t_recv in
-      Obs.Metrics.observe h_total total;
-      (match tel.cache_state with
-      | Some "hit" -> Obs.Metrics.observe h_total_hit total
-      | Some _ -> Obs.Metrics.observe h_total_miss total
-      | None -> ());
-      match t.config.log with
-      | Some log -> log (log_line tel resp ~total)
-      | None -> ()
-    end;
-    resp
+(* Wrap a pending so the outcome count, the respond timestamp,
+   total-latency observations and the structured log line happen exactly
+   once, when the transport forces the response (FIFO flush order =
+   respond order).  Counting here, from the response actually returned,
+   is what keeps a request whose deadline beat its job from counting
+   twice: the job's own late outcome is nobody's response. *)
+let finalize t tel pending () =
+  let resp = pending () in
+  if not (Atomic.exchange tel.finalized true) then begin
+    (match resp with
+    | P.Solved _ | P.Round_solved _
+    | P.Session_reply { event = P.Sess_opened | P.Sess_resolved; _ } ->
+        Atomic.incr t.n_solved
+    | P.Failed _ -> Atomic.incr t.n_errors
+    | P.Timed_out _ -> Atomic.incr t.n_timeouts
+    | P.Ack _ | P.Stats_reply _ | P.Session_reply _ -> ());
+    let total = Obs.Clock.monotonic_seconds () -. tel.t_recv in
+    Obs.Metrics.observe h_total total;
+    (match tel.cache_state with
+    | Some "hit" -> Obs.Metrics.observe h_total_hit total
+    | Some _ -> Obs.Metrics.observe h_total_miss total
+    | None -> ());
+    match t.config.log with
+    | Some log -> log (log_line tel resp ~total)
+    | None -> ()
+  end;
+  resp
+
+(* ---------- the cached, checked solve path ---------- *)
+
+(* A problem's fingerprint kind, span name and error wording. *)
+type problem = { kind : string; span : string; solver : string; product : string }
+
+let sap_problem =
+  { kind = "sap"; span = "server.request"; solver = "solver"; product = "solution" }
+
+let round_problem =
+  {
+    kind = "round";
+    span = "server.round_request";
+    solver = "round solver";
+    product = "packing";
+  }
+
+let kind_of = function Sap_result _ -> "sap" | Round_result _ -> "round"
+
+(* The wire reply for a verified answer, fresh or from the cache. *)
+let reply ~id ~cached ~time_ms = function
+  | Sap_result solution ->
+      P.Solved
+        {
+          id;
+          summary =
+            {
+              scheduled = List.length solution;
+              weight = Core.Solution.sap_weight solution;
+              cached;
+              time_ms;
+            };
+          solution;
+        }
+  | Round_result rounds ->
+      P.Round_solved
+        {
+          id;
+          summary =
+            { P.r_rounds = List.length rounds; r_cached = cached; r_time_ms = time_ms };
+          rounds;
+        }
+
+(* Fingerprint -> cache lookup -> on a miss, one pool job: queue stamp,
+   span, timed solve, checker, cache insert.  Nothing reaches the wire or
+   the cache without passing [verify]; [entry] wraps the verified answer
+   for the shared cache, and a hit holding the other problem's variant
+   (a cross-problem hash collision) is a miss. *)
+let submit_cached t tel ~id pb ~algorithm ~seed ~cache ?timeout_ms ?engine ~solve
+    ~verify ~entry path tasks =
+  let key =
+    if cache then
+      Some (Fingerprint.solve_key ~problem:pb.kind ~algorithm ~seed path tasks)
+    else None
   in
-  { ready = pending.ready; force = (fun () -> record (pending.force ())) }
+  match Option.bind key (Cache.find t.cache) with
+  | Some hit when kind_of hit = pb.kind ->
+      ( { tel with cache_state = Some "hit" },
+        immediate (reply ~id ~cached:true ~time_ms:0.0 hit) )
+  | _ ->
+      let tel =
+        { tel with cache_state = Some (if key = None then "off" else "miss") }
+      in
+      let deadline =
+        Option.map
+          (fun ms -> Obs.Clock.monotonic_seconds () +. (float_of_int ms /. 1000.0))
+          timeout_ms
+      in
+      let job () =
+        let t_deq = Obs.Clock.monotonic_seconds () in
+        Atomic.set tel.queue_s (t_deq -. tel.t_recv);
+        Obs.Metrics.observe h_queue (t_deq -. tel.t_recv);
+        match deadline with
+        | Some dl when t_deq >= dl -> P.Timed_out { id }
+        | _ -> (
+            Obs.Trace.with_span pb.span
+              ~attrs:[ ("algorithm", algorithm); ("id", string_of_int id) ]
+            @@ fun () ->
+            let t0 = Obs.Clock.monotonic_seconds () in
+            match solve () with
+            | exception e ->
+                failed ~id P.Internal
+                  (Printf.sprintf "%s raised: %s" pb.solver (Printexc.to_string e))
+            | v -> (
+                let dt = Obs.Clock.monotonic_seconds () -. t0 in
+                Atomic.set tel.solve_s dt;
+                Obs.Metrics.observe h_solve dt;
+                Option.iter (fun h -> Obs.Metrics.observe h dt) engine;
+                match verify v with
+                | Error m ->
+                    failed ~id P.Infeasible
+                      (Printf.sprintf "%s produced infeasible %s: %s" pb.solver
+                         pb.product m)
+                | Ok () ->
+                    let e = entry v in
+                    Option.iter (fun k -> Cache.add t.cache k e) key;
+                    reply ~id ~cached:false ~time_ms:(dt *. 1000.0) e))
+      in
+      (tel, pooled t ~id ?deadline job)
 
 (* Per-request parallelism stays off: the pool provides cross-request
    parallelism, and nesting domain fan-outs inside worker domains would
@@ -364,239 +431,94 @@ let submit_solve t tel ~id (params : P.solve_params) path tasks =
   | None ->
       ( tel,
         immediate
-          (fail t ~id P.Unknown_algorithm
+          (failed ~id P.Unknown_algorithm
              (Printf.sprintf "unknown algorithm %S (have: %s)" params.algorithm
                 (String.concat ", " Sap.Solvers.names))) )
-  | Some solver -> (
-      let key =
-        if params.cache then
-          Some
-            (Fingerprint.solve_key ~problem:"sap" ~algorithm:params.algorithm
-               ~seed:params.seed path tasks)
-        else None
+  | Some solver ->
+      let timeout_ms =
+        match params.timeout_ms with
+        | Some _ as s -> s
+        | None -> t.config.default_timeout_ms
       in
-      match Option.map (Cache.find t.cache) key |> Option.join with
-      | Some (Sap_result hit) ->
-          ( { tel with cache_state = Some "hit" },
-            immediate (solved t ~id ~cached:true ~time_ms:0.0 hit) )
-      | Some (Round_result _) | None -> (
-          let tel =
-            { tel with cache_state = Some (if key = None then "off" else "miss") }
-          in
-          let timeout_ms =
-            match params.timeout_ms with
-            | Some _ as s -> s
-            | None -> t.config.default_timeout_ms
-          in
-          let deadline =
-            Option.map
-              (fun ms ->
-                Obs.Clock.monotonic_seconds () +. (float_of_int ms /. 1000.0))
-              timeout_ms
-          in
-          let job () =
-            let t_deq = Obs.Clock.monotonic_seconds () in
-            Atomic.set tel.queue_s (t_deq -. tel.t_recv);
-            Obs.Metrics.observe h_queue (t_deq -. tel.t_recv);
-            let expired =
-              match deadline with Some dl -> t_deq >= dl | None -> false
-            in
-            if expired then timeout t ~id
-            else
-              Obs.Trace.with_span "server.request"
-                ~attrs:[ ("algorithm", params.algorithm); ("id", string_of_int id) ]
-              @@ fun () ->
-              let t0 = Obs.Clock.monotonic_seconds () in
-              match
-                fst (solver.Sap.Solvers.run ~seed:params.seed ~parallel:false path tasks)
-              with
-              | exception e ->
-                  fail t ~id P.Internal
-                    (Printf.sprintf "solver raised: %s" (Printexc.to_string e))
-              | sol -> (
-                  let dt = Obs.Clock.monotonic_seconds () -. t0 in
-                  Atomic.set tel.solve_s dt;
-                  Obs.Metrics.observe h_solve dt;
-                  (match List.assoc_opt params.algorithm t.latency with
-                  | Some h -> Obs.Metrics.observe h dt
-                  | None -> ());
-                  match Core.Checker.sap_feasible path sol with
-                  | Error m ->
-                      fail t ~id P.Infeasible ("solver produced infeasible solution: " ^ m)
-                  | Ok () ->
-                      let entry =
-                        {
-                          c_scheduled = List.length sol;
-                          c_weight = Core.Solution.sap_weight sol;
-                          c_solution = sol;
-                        }
-                      in
-                      (match key with
-                      | Some k -> Cache.add t.cache k (Sap_result entry)
-                      | None -> ());
-                      solved t ~id ~cached:false ~time_ms:(dt *. 1000.0) entry)
-          in
-          match Pool.submit t.pool job with
-          | exception Pool.Closed ->
-              (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-          | fut ->
-              let ready () =
-                Pool.completed fut
-                ||
-                match deadline with
-                | Some dl -> Obs.Clock.monotonic_seconds () >= dl
-                | None -> false
-              in
-              let force () =
-                match deadline with
-                | None -> Pool.await fut
-                | Some dl -> (
-                    match Pool.await_until fut ~deadline:dl with
-                    | Some resp -> resp
-                    | None ->
-                        (* The job keeps running to completion (it may
-                           still warm the cache); this request's answer
-                           is a clean timeout. *)
-                        timeout t ~id)
-              in
-              (tel, { ready; force })))
+      submit_cached t tel ~id sap_problem ~algorithm:params.algorithm
+        ~seed:params.seed ~cache:params.cache ?timeout_ms
+        ?engine:(List.assoc_opt params.algorithm t.latency)
+        ~solve:(fun () ->
+          fst (solver.Sap.Solvers.run ~seed:params.seed ~parallel:false path tasks))
+        ~verify:(Core.Checker.sap_feasible path)
+        ~entry:(fun sol -> Sap_result sol) path tasks
 
-(* [round-solve]: same lifecycle as [solve] — cache lookup, pool job,
-   checker verification, cache insert — for the ROUND-SAP objective.  The
-   round algorithms are deterministic (no seed) and fast enough that the
-   verb carries no deadline; a client that needs one can layer it on top
-   of the pipelined transport. *)
+(* [round-solve]: the same cached, checked path for the ROUND-SAP
+   objective.  The round algorithms are deterministic (no seed) and fast
+   enough that the verb carries no deadline; a client that needs one can
+   layer it on top of the pipelined transport. *)
 let submit_round_solve t tel ~id ~algorithm ~cache path tasks =
   match Round.Solvers.find algorithm with
   | None ->
       ( tel,
         immediate
-          (fail t ~id P.Unknown_algorithm
+          (failed ~id P.Unknown_algorithm
              (Printf.sprintf "unknown round algorithm %S (have: %s)" algorithm
                 (String.concat ", " Round.Solvers.names))) )
   | Some solver -> (
       match Round.Instance.create path tasks with
       | Error m ->
-          (tel, immediate (fail t ~id P.Bad_request ("invalid round instance: " ^ m)))
-      | Ok inst -> (
-          let key =
-            if cache then
-              Some
-                (Fingerprint.solve_key ~problem:"round" ~algorithm ~seed:0 path
-                   tasks)
-            else None
-          in
-          match Option.map (Cache.find t.cache) key |> Option.join with
-          | Some (Round_result rounds) ->
-              ( { tel with cache_state = Some "hit" },
-                immediate (round_solved t ~id ~cached:true ~time_ms:0.0 rounds) )
-          | Some (Sap_result _) | None -> (
-              let tel =
-                {
-                  tel with
-                  cache_state = Some (if key = None then "off" else "miss");
-                }
-              in
-              let job () =
-                let t_deq = Obs.Clock.monotonic_seconds () in
-                Atomic.set tel.queue_s (t_deq -. tel.t_recv);
-                Obs.Metrics.observe h_queue (t_deq -. tel.t_recv);
-                Obs.Trace.with_span "server.round_request"
-                  ~attrs:[ ("algorithm", algorithm); ("id", string_of_int id) ]
-                @@ fun () ->
-                let t0 = Obs.Clock.monotonic_seconds () in
-                match solver.Round.Solvers.solve inst with
-                | exception e ->
-                    fail t ~id P.Internal
-                      (Printf.sprintf "round solver raised: %s"
-                         (Printexc.to_string e))
-                | rounds -> (
-                    let dt = Obs.Clock.monotonic_seconds () -. t0 in
-                    Atomic.set tel.solve_s dt;
-                    Obs.Metrics.observe h_solve dt;
-                    match Round.Checker.check inst rounds with
-                    | Error m ->
-                        fail t ~id P.Infeasible
-                          ("round solver produced infeasible packing: " ^ m)
-                    | Ok () ->
-                        (match key with
-                        | Some k -> Cache.add t.cache k (Round_result rounds)
-                        | None -> ());
-                        round_solved t ~id ~cached:false ~time_ms:(dt *. 1000.0)
-                          rounds)
-              in
-              match Pool.submit t.pool job with
-              | exception Pool.Closed ->
-                  (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-              | fut ->
-                  ( tel,
-                    {
-                      ready = (fun () -> Pool.completed fut);
-                      force = (fun () -> Pool.await fut);
-                    } ))))
+          (tel, immediate (failed ~id P.Bad_request ("invalid round instance: " ^ m)))
+      | Ok inst ->
+          submit_cached t tel ~id round_problem ~algorithm ~seed:0 ~cache
+            ~solve:(fun () -> solver.Round.Solvers.solve inst)
+            ~verify:(Round.Checker.check inst)
+            ~entry:(fun rounds -> Round_result rounds) path tasks)
 
-let drain_pool t =
+let drain t =
   Atomic.set t.draining_flag true;
   Pool.shutdown t.pool
 
 let submit t req =
   Atomic.incr t.n_requests;
   let id = P.request_id req in
+  let new_tel ?alg ?solve_seed verb = telemetry t ~verb ?alg ?solve_seed () in
+  (* The verbs that reach the pool are refused once draining — before
+     any lookup, so a draining server answers nothing from its cache. *)
+  let admit tel work =
+    if draining t then (tel, immediate (shutting_down ~id)) else work tel
+  in
   let tel, pending =
     match req with
-    | P.Ping _ -> (telemetry t ~verb:"ping" (), immediate (P.Ack { id }))
+    | P.Ping _ -> (new_tel "ping", immediate (P.Ack { id }))
     | P.Stats _ ->
         (* Evaluated at force time: a pipelined [stats] frame behind a
            batch reflects that batch once the transport's in-order flush
            reaches it. *)
-        ( telemetry t ~verb:"stats" (),
-          {
-            ready = (fun () -> true);
-            force = (fun () -> P.Stats_reply { id; stats = stats_json t });
-          } )
+        (new_tel "stats", fun () -> P.Stats_reply { id; stats = stats_json t })
     | P.Shutdown _ ->
         Atomic.set t.draining_flag true;
-        ( telemetry t ~verb:"shutdown" (),
-          { ready = (fun () -> true); force = (fun () -> drain_pool t; P.Ack { id }) } )
+        (new_tel "shutdown", fun () -> drain t; P.Ack { id })
     | P.Solve { params; path; tasks; _ } ->
-        let tel =
-          telemetry t ~verb:"solve" ~alg:params.algorithm
-            ~solve_seed:params.seed ()
-        in
-        if draining t then
-          (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-        else submit_solve t tel ~id params path tasks
+        admit (new_tel "solve" ~alg:params.algorithm ~solve_seed:params.seed)
+          (fun tel -> submit_solve t tel ~id params path tasks)
     | P.Round_solve { algorithm; cache; path; tasks; _ } ->
-        let tel = telemetry t ~verb:"round-solve" ~alg:algorithm () in
-        if draining t then
-          (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-        else submit_round_solve t tel ~id ~algorithm ~cache path tasks
+        admit (new_tel "round-solve" ~alg:algorithm) (fun tel ->
+            submit_round_solve t tel ~id ~algorithm ~cache path tasks)
     | P.Session_open { seed; path; tasks; _ } ->
-        let tel = telemetry t ~verb:"session-open" ~solve_seed:seed () in
-        if draining t then
-          (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-        else (tel, submit_session_open t ~id ~seed path tasks)
+        admit (new_tel "session-open" ~solve_seed:seed) (fun tel ->
+            (tel, submit_session_open t ~id ~seed path tasks))
     | P.Session_add { session; task; _ } ->
-        ( telemetry t ~verb:"add-task" (),
+        ( new_tel "add-task",
           immediate
             (session_delta t ~id ~session (fun ses -> Session.add_task ses task))
         )
     | P.Session_remove { session; task_id; _ } ->
-        ( telemetry t ~verb:"remove-task" (),
+        ( new_tel "remove-task",
           immediate
             (session_delta t ~id ~session (fun ses ->
                  Session.remove_task ses task_id)) )
     | P.Session_resolve { session; cold; _ } ->
-        let tel = telemetry t ~verb:"resolve" () in
-        if draining t then
-          (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-        else (tel, submit_session_resolve t ~id ~session ~cold)
+        admit (new_tel "resolve") (fun tel ->
+            (tel, submit_session_resolve t ~id ~session ~cold))
     | P.Session_close { session; _ } ->
-        ( telemetry t ~verb:"session-close" (),
-          immediate (session_close t ~id ~session) )
+        (new_tel "session-close", immediate (session_close t ~id ~session))
   in
   finalize t tel pending
 
-let handle t req = (submit t req).force ()
-
-let drain t = drain_pool t
+let handle t req = submit t req ()

@@ -15,7 +15,10 @@
     [server.queue_depth], [server.cache.{hits,misses,evictions}] and
     per-request [server.request] spans when tracing is on.  Request
     totals (requests/solved/errors/timeouts) are tracked once, as
-    per-server atomics surfaced by {!stats_json}.
+    per-server atomics surfaced by {!stats_json}.  A request's outcome is
+    counted once, when its response is forced, from that response: each
+    request counts in at most one of solved/errors/timeouts, even when
+    its deadline fires while its job runs on.
 
     When [config.log] is set, every response additionally emits one
     single-line [key=value] record (fields: [ts] wall-clock epoch, [req]
@@ -30,9 +33,12 @@
     raising solver into [internal], a missed deadline into [timeout].
 
     Transports drive the server through {!submit}, which returns a
-    {!pending} handle instead of blocking, so a connection loop can keep
-    reading pipelined requests while earlier solves are still in flight
-    and flush completed responses opportunistically (FIFO order). *)
+    {!pending} thunk instead of blocking, so a connection loop can keep
+    reading pipelined requests while earlier solves are still in flight.
+    Each connection hands its pendings, in arrival order, to a {!Pump}:
+    a writer domain that forces each one and writes its response the
+    moment it is ready, so responses go out in FIFO order without
+    waiting for more inbound traffic. *)
 
 type config = {
   workers : int option;  (** [None]: {!Util.Parallel.default_jobs} *)
@@ -53,13 +59,10 @@ type t
 
 val create : ?config:config -> unit -> t
 
-type pending = {
-  ready : unit -> bool;
-      (** non-blocking: would [force] return without waiting? *)
-  force : unit -> Protocol.response;
-      (** block (up to the request's deadline) and produce the response;
-          idempotent per handle — call it once *)
-}
+type pending = unit -> Protocol.response
+(** Block (up to the request's deadline) and produce the response.
+    Force each pending once: the first force counts the outcome,
+    observes [server.latency.total] and writes the log line. *)
 
 val submit : t -> Protocol.request -> pending
 (** Admit one request.  May block on the pool's bounded queue (the
@@ -69,7 +72,7 @@ val submit : t -> Protocol.request -> pending
     completes the drain and acknowledges. *)
 
 val handle : t -> Protocol.request -> Protocol.response
-(** [submit] + [force]: the synchronous convenience used by tests and
+(** [submit] and force: the synchronous convenience used by tests and
     single-request callers. *)
 
 val stats_json : t -> Obs.Json.t

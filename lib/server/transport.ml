@@ -31,7 +31,7 @@ let serve_channels t ic oc =
         | Ok req ->
             let stop = match req with P.Shutdown _ -> true | _ -> false in
             let p = Server.submit t req in
-            Pump.push pump (fun () -> write_response oc (p.Server.force ()));
+            Pump.push pump (fun () -> write_response oc (p ()));
             if not stop then loop ())
   in
   (* A peer that vanishes mid-read surfaces as Sys_error; the connection

@@ -4,10 +4,12 @@
     The connection loop reads frames and admits them via {!Server.submit}
     — which blocks on the pool's bounded queue when the server is
     saturated, so backpressure reaches the client through the kernel
-    socket buffer — and flushes completed responses opportunistically in
-    FIFO admission order (ids let pipelined clients re-associate them
-    anyway).  A frame whose header does not parse is answered with an
-    [error] response under id [-1]; the stream stays usable.
+    socket buffer — and hands each pending response to the connection's
+    {!Pump}, a writer domain that forces them in FIFO admission order and
+    writes each one the moment it is ready (ids let pipelined clients
+    re-associate them anyway).  A frame whose header does not parse is
+    answered with an [error] response under id [-1]; the stream stays
+    usable.
 
     End of input drains every admitted request in order before closing;
     a [shutdown] frame additionally drains the server itself (finish

@@ -143,15 +143,17 @@ let pool_drain_loses_nothing () =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
             List.init 10 (fun i ->
-                Pool.submit p (fun () ->
+                (i, Pool.submit p (fun () ->
                     Atomic.incr ran;
-                    i))))
+                    i)))))
   in
   let futures = List.concat_map Domain.join producers in
   Pool.shutdown p;
   Alcotest.(check int) "all jobs ran" 40 (Atomic.get ran);
   List.iter
-    (fun fut -> Alcotest.(check bool) "future completed" true (Pool.completed fut))
+    (fun (i, fut) ->
+      Alcotest.(check (result int reject)) "future completed" (Ok i)
+        (Pool.await_result fut))
     futures;
   let s = Pool.stats p in
   Alcotest.(check int) "submitted" 40 s.Pool.submitted;
@@ -386,6 +388,17 @@ let default_params = Proto.default_solve_params
 let mixed_instances n =
   List.init n (fun i -> Helpers.tiny_instance (1000 + (17 * i)))
 
+let int_field section field json =
+  match json with
+  | Obs.Json.Obj fields -> (
+      match List.assoc_opt section fields with
+      | Some (Obs.Json.Obj sub) -> (
+          match List.assoc_opt field sub with
+          | Some (Obs.Json.Int n) -> n
+          | _ -> Alcotest.failf "stats: %s.%s missing" section field)
+      | _ -> Alcotest.failf "stats: %s section missing" section)
+  | _ -> Alcotest.fail "stats payload is not an object"
+
 let e2e_concurrent_solves_and_cache () =
   let config =
     { Server.default_config with Server.workers = Some 4; cache_capacity = 256 }
@@ -403,7 +416,7 @@ let e2e_concurrent_solves_and_cache () =
             (Proto.Solve { id = i; params = default_params; path; tasks }))
         instances
     in
-    List.map (fun p -> p.Server.force ()) pendings
+    List.map (fun p -> p ()) pendings
   in
   let check_round ~cached responses =
     List.iteri
@@ -425,17 +438,6 @@ let e2e_concurrent_solves_and_cache () =
   check_round ~cached:false (submit_all ());
   (* The whole batch again: every solve must be served from the cache. *)
   check_round ~cached:true (submit_all ());
-  let int_field section field json =
-    match json with
-    | Obs.Json.Obj fields -> (
-        match List.assoc_opt section fields with
-        | Some (Obs.Json.Obj sub) -> (
-            match List.assoc_opt field sub with
-            | Some (Obs.Json.Int n) -> n
-            | _ -> Alcotest.failf "stats: %s.%s missing" section field)
-        | _ -> Alcotest.failf "stats: %s section missing" section)
-    | _ -> Alcotest.fail "stats payload is not an object"
-  in
   match Server.handle srv (Proto.Stats { id = 99 }) with
   | Proto.Stats_reply { stats; _ } ->
       (* 20 cold solves + 20 warm + this stats request. *)
@@ -613,9 +615,12 @@ let e2e_shutdown_under_load () =
       instances
   in
   let shutdown_pending = Server.submit srv (Proto.Shutdown { id = 100 }) in
-  (match shutdown_pending.Server.force () with
+  (match shutdown_pending () with
   | Proto.Ack { id = 100 } -> ()
   | _ -> Alcotest.fail "expected shutdown ack");
+  (* The ack comes after the drain: every accepted solve already ran. *)
+  Alcotest.(check int) "accepted requests completed" 10
+    (int_field "pool" "completed" (Server.stats_json srv));
   Alcotest.(check bool) "draining" true (Server.draining srv);
   (* Late request: refused, not lost silently. *)
   (match
@@ -627,11 +632,74 @@ let e2e_shutdown_under_load () =
   | _ -> Alcotest.fail "expected shutting-down");
   List.iteri
     (fun i p ->
-      Alcotest.(check bool) "accepted request completed" true (p.Server.ready ());
-      match p.Server.force () with
+      match p () with
       | Proto.Solved _ -> ()
       | _ -> Alcotest.failf "request %d lost by drain" i)
     pendings
+
+(* A deadline that fires while the request's job is still queued or
+   running answers the client with a timeout; the job runs on and
+   produces an outcome of its own that nobody receives.  The request must
+   count once, as the timeout it was answered with.  The slow solve
+   (medium band, n = 20 on 24 edges) takes a few hundred ms. *)
+let e2e_outcome_counted_once () =
+  let slow =
+    let g = Util.Prng.create 5 in
+    let path =
+      Gen.Profiles.random_walk ~prng:g ~edges:24 ~start:48 ~max_step:12
+        ~min_cap:6
+    in
+    (path, Gen.Workloads.ratio_tasks ~prng:g ~path ~n:20 ~lo:0.25 ~hi:0.5 ())
+  in
+  let solve ?timeout_ms id (path, tasks) =
+    Proto.Solve
+      {
+        id;
+        params = { default_params with Proto.algorithm = "medium"; timeout_ms };
+        path;
+        tasks;
+      }
+  in
+  let with_one_worker f =
+    let srv =
+      Server.create ~config:{ Server.default_config with Server.workers = Some 1 } ()
+    in
+    Fun.protect ~finally:(fun () -> Server.drain srv) (fun () -> f srv);
+    List.map
+      (fun field -> int_field "requests" field (Server.stats_json srv))
+      [ "total"; "solved"; "errors"; "timeouts" ]
+  in
+  let expect_timeout id = function
+    | Proto.Timed_out { id = i } when i = id -> ()
+    | _ -> Alcotest.failf "request %d: expected timeout" id
+  in
+  (* A zero deadline queued behind the slow solve: forced while its job
+     still waits for the only worker, which later expires it again. *)
+  let counts =
+    with_one_worker (fun srv ->
+        let first = Server.submit srv (solve 0 slow) in
+        let queued =
+          Server.submit srv (solve ~timeout_ms:0 1 (Helpers.tiny_instance 7))
+        in
+        expect_timeout 1 (queued ());
+        match first () with
+        | Proto.Solved _ -> ()
+        | _ -> Alcotest.fail "slow solve: expected solved")
+  in
+  Alcotest.(check (list int)) "queued timeout: total/solved/errors/timeouts"
+    [ 2; 1; 0; 1 ] counts;
+  (* A deadline that passes mid-solve: the solve still finishes (and
+     warms the cache), but its request counts as a timeout only. *)
+  let entries = ref 0 in
+  let counts =
+    with_one_worker (fun srv ->
+        expect_timeout 0 (Server.handle srv (solve ~timeout_ms:20 0 slow));
+        Server.drain srv;
+        entries := int_field "cache" "entries" (Server.stats_json srv))
+  in
+  Alcotest.(check (list int)) "mid-solve timeout: total/solved/errors/timeouts"
+    [ 1; 0; 0; 1 ] counts;
+  Alcotest.(check int) "timed-out job still warms the cache" 1 !entries
 
 (* ---------- per-request telemetry ---------- *)
 
@@ -970,6 +1038,7 @@ let () =
           case "unknown algorithm lists the registry" e2e_unknown_algorithm_lists_registry;
           case "round-solve lifecycle + cache separation" e2e_round_solve;
           case "graceful drain under load" e2e_shutdown_under_load;
+          case "each outcome counted once" e2e_outcome_counted_once;
         ] );
       ( "telemetry",
         [ case "latency histograms + structured log" telemetry_histograms_and_log ] );
