@@ -8,8 +8,8 @@
    under bench-diff); the shape of the run — events, resolves, bands
    repacked, warm-seeded LPs — lands in exact counters, so a repair or
    warm-start regression that changes behaviour trips the gate even on a
-   faster machine.  The speedup itself is a gauge plus an in-scenario
-   floor assertion. *)
+   faster machine.  The speedup itself (fastest of three passes per side)
+   is a gauge plus an in-scenario floor assertion. *)
 
 module Session = Sap_server.Session
 module Task = Core.Task
@@ -114,14 +114,30 @@ let run () =
     make_trace prng ~first_id:(Array.length levels * per_band) ~pairs:8
   in
   let n = List.length trace in
+  let pass ~cold () = run_pass ~cold ~seed:11 path base trace in
   let cold_dt, cold_warm, cold_repacked, cold_sched =
-    Obs.Metrics.time h_cold (fun () ->
-        run_pass ~cold:true ~seed:11 path base trace)
+    Obs.Metrics.time h_cold (pass ~cold:true)
   in
   let warm_dt, warm_warm, warm_repacked, warm_sched =
-    Obs.Metrics.time h_warm (fun () ->
-        run_pass ~cold:false ~seed:11 path base trace)
+    Obs.Metrics.time h_warm (pass ~cold:false)
   in
+  (* A single ~ms pass is at the mercy of the scheduler: the speedup
+     takes the fastest of three passes per side.  The two repeats run
+     with collection off, so the gated counters and the histogram counts
+     above see exactly one pass per side. *)
+  let seconds (dt, _, _, _) = dt in
+  let was_on = Obs.Metrics.enabled () in
+  Obs.Metrics.disable ();
+  let repeats =
+    Fun.protect
+      ~finally:(fun () -> if was_on then Obs.Metrics.enable ())
+      (fun () ->
+        List.init 2 (fun _ ->
+            let c = seconds (pass ~cold:true ()) in
+            (c, seconds (pass ~cold:false ()))))
+  in
+  let best_cold = List.fold_left (fun m (c, _) -> Float.min m c) cold_dt repeats in
+  let best_warm = List.fold_left (fun m (_, w) -> Float.min m w) warm_dt repeats in
   if cold_warm <> 0 then failwith "cr: cold pass warm-seeded an LP";
   if warm_warm <> n then
     failwith
@@ -137,7 +153,7 @@ let run () =
      inside [Session.resolve] / the qcheck property.  Both counts are
      still deterministic, so both are gate-able. *)
   ignore cold_sched;
-  let speedup = cold_dt /. warm_dt in
+  let speedup = best_cold /. best_warm in
   if speedup < 5.0 then
     failwith
       (Printf.sprintf "cr: warm resolve only %.2fx faster than cold (floor 5x)"
@@ -157,16 +173,16 @@ let run () =
         string_of_int n;
         string_of_int cold_repacked;
         "0";
-        Util.Table.float_cell cold_dt;
-        Util.Table.float_cell (1000.0 *. cold_dt /. float_of_int n);
+        Util.Table.float_cell best_cold;
+        Util.Table.float_cell (1000.0 *. best_cold /. float_of_int n);
       ];
       [
         "warm";
         string_of_int n;
         string_of_int warm_repacked;
         string_of_int warm_warm;
-        Util.Table.float_cell warm_dt;
-        Util.Table.float_cell (1000.0 *. warm_dt /. float_of_int n);
+        Util.Table.float_cell best_warm;
+        Util.Table.float_cell (1000.0 *. best_warm /. float_of_int n);
       ];
     ];
   Printf.printf "\nwarm-vs-cold speedup on single-task deltas: %.2fx\n%!" speedup

@@ -14,11 +14,42 @@
     keeping the max weight, which is exactly the paper's table
     [Pi(e_i, S_i, h_i)] evaluated lazily on reachable states only.
 
+    {2 Data layout}
+
+    The band's tasks are indexed once, in id order; per task the DP keeps
+    its demand, last edge and candidate prefix (the candidates that fit
+    under its clipped bottleneck, found by binary search).  A state's key
+    is its alive set packed as ints [[idx; h; idx; h; ...]] in index
+    order.  One generation of states keeps all its keys back to back in a
+    single [int array], with weights in a [float array], in generation
+    order, so the live count is O(1).  A placement allocates one trail
+    node: a state's list of placements shares its tail with its
+    parent's.  Equal keys are found through a [Hashtbl.Make] over state
+    slots with an int hash and a loop equality.
+
+    Placement is a gap scan: the alive tasks all cover the current edge,
+    so their height intervals are disjoint.  They are sorted by height,
+    and for each gap between them a binary search finds the candidate
+    range that fits, emitted in ascending height.  The children of
+    distinct parents have distinct keys, so only dropping the tasks that
+    expire at an edge can merge states.
+
+    {2 Tie rule}
+
+    Generation order is: parent states in order, and for each one the
+    skip before its placements, placements in ascending height.  On equal
+    weight the later-generated state wins, both when equal keys merge and
+    in the final pick — so higher placements win ties.  Placements among
+    equal-weight optima follow this rule, which does not depend on hashing
+    or on the order of the input task list.
+
     The paper's bound on the table size uses [L = 2^ell / delta] tasks per
     edge (Lemma 12(i)); we do not materialise the full [O(n^(L+L^2))] table
     but cap the live state count, reporting whether the cap was hit (in
     which case the result is a heuristic, not an optimum — the tests run
-    well under the cap). *)
+    well under the cap).  A step over the cap keeps the [max_states]
+    heaviest states, the earlier-generated on equal weight, in generation
+    order. *)
 
 type result = {
   solution : Core.Solution.sap;

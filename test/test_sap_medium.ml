@@ -42,6 +42,113 @@ let elevator_state_cap_flag () =
   Alcotest.(check bool) "flag tripped" false r.Sap.Elevator.exact;
   Helpers.assert_feasible_sap path r.Sap.Elevator.solution
 
+(* ---------- pinned against the original list DP ---------- *)
+
+(* The DP's own weight: placement weights summed in processing order
+   (first edge, then id), so equal DP optima compare with [Float.equal]
+   whatever tasks they hold. *)
+let dp_weight sol =
+  List.sort
+    (fun ((a : Task.t), _) ((b : Task.t), _) ->
+      compare (a.Task.first_edge, a.Task.id) (b.Task.first_edge, b.Task.id))
+    sol
+  |> List.fold_left (fun acc ((j : Task.t), _) -> acc +. j.Task.weight) 0.0
+
+(* A random almost-uniform band: capacities in [2^k, 2^(k+ell)), demand
+   ratios in [0.1, 0.5], 2-9 tasks; half the bands get a small state
+   cap, half an elevated [min_height]. *)
+let random_band seed =
+  let g = Util.Prng.create seed in
+  let k = 2 + Util.Prng.int g 3 and ell = 1 + Util.Prng.int g 2 in
+  let cap = 1 lsl (k + ell) in
+  let edges = 3 + Util.Prng.int g 5 in
+  let caps = Array.init edges (fun _ -> (1 lsl k) + Util.Prng.int g (cap - (1 lsl k))) in
+  let path = Path.create caps in
+  let n = 2 + Util.Prng.int g 8 in
+  let tasks = Gen.Workloads.ratio_tasks ~prng:g ~path ~n ~lo:0.1 ~hi:0.5 () in
+  let min_height = if Util.Prng.bool g then 0 else 1 lsl (k - 1 - Util.Prng.int g 2) in
+  let max_states = if Util.Prng.bool g then None else Some (4 + Util.Prng.int g 12) in
+  (path, tasks, cap, min_height, max_states)
+
+let elevator_counters () =
+  Obs.Metrics.
+    ( counter_value (counter "elevator.dp_states"),
+      counter_value (counter "elevator.candidate_heights"),
+      counter_value (counter "elevator.truncations") )
+
+(* Run [f] with metric collection on; return its result and the
+   dp_states / candidate_heights / truncations it added. *)
+let with_counter_deltas f =
+  let was_on = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  let d0, c0, t0 = elevator_counters () in
+  let r = f () in
+  let d1, c1, t1 = elevator_counters () in
+  if not was_on then Obs.Metrics.disable ();
+  (r, (d1 - d0, c1 - c0, t1 - t0))
+
+(* Untruncated, both DPs evaluate the same reachable keys, so they agree
+   on the optimal weight and every counter.  A truncated run keeps other
+   equal-weight states at the cut, so only exactness and the candidate
+   count are compared.  Placements must also ignore the input order. *)
+let elevator_matches_reference =
+  Helpers.seed_property ~count:120 "optimal_band = list-DP reference" (fun seed ->
+      let path, tasks, cap, min_height, max_states = random_band seed in
+      let run ts = Sap.Elevator.optimal_band ~cap ~min_height ?max_states path ts in
+      let r, (dp, ch, tr) = with_counter_deltas (fun () -> run tasks) in
+      let r', (dp', ch', tr') =
+        with_counter_deltas (fun () ->
+            Elevator_reference.optimal_band ~cap ~min_height ?max_states path
+              tasks)
+      in
+      let sol = r.Sap.Elevator.solution in
+      let feasible =
+        Result.is_ok (Core.Checker.sap_feasible (Path.clip path cap) sol)
+        && List.for_all (fun (_, h) -> h >= min_height) sol
+      in
+      let g = Util.Prng.create (seed + 1) in
+      let shuffled =
+        List.map (fun t -> (Util.Prng.int g 1_000_000, t)) tasks
+        |> List.sort compare |> List.map snd
+      in
+      let untruncated = tr = 0 && tr' = 0 in
+      feasible
+      && (run shuffled).Sap.Elevator.solution = sol
+      && r.Sap.Elevator.exact = r'.Elevator_reference.exact
+      && ch = ch'
+      && ((not untruncated)
+         || Float.equal (dp_weight sol) (dp_weight r'.Elevator_reference.solution)
+            && dp = dp'))
+
+(* One edge of capacity 4: task 0 (demand 2) fits at heights 0 and 2,
+   task 1 (demand 3) at 0, never both, all weight 1 — three equal-weight
+   optima.  Generation order is empty, 1@0, 0@0, 0@2 (parents in order,
+   each skip before its placements, placements bottom-up), and the
+   documented rule keeps the last: the higher placement. *)
+let tie_rule_band () =
+  let path = Path.uniform ~edges:1 ~capacity:4 in
+  let mk id demand = Task.make ~id ~first_edge:0 ~last_edge:0 ~demand ~weight:1.0 in
+  let tasks = [ mk 0 2; mk 1 3 ] in
+  let r = Sap.Elevator.optimal_band ~cap:4 path tasks in
+  let show sol =
+    String.concat ";"
+      (List.map (fun ((j : Task.t), h) -> Printf.sprintf "%d@%d" j.Task.id h) sol)
+  in
+  Alcotest.(check string) "later-generated optimum wins" "0@2"
+    (show r.Sap.Elevator.solution);
+  Alcotest.(check bool) "exact" true r.Sap.Elevator.exact;
+  let r' = Sap.Elevator.optimal_band ~cap:4 path (List.rev tasks) in
+  Alcotest.(check string) "input order is irrelevant"
+    (show r.Sap.Elevator.solution) (show r'.Sap.Elevator.solution);
+  (* The same rule when states merge: task 0 ends at edge 0, so 0@0 and
+     0@2 collapse onto one key at edge 1 and the later 0@2 survives under
+     task 1 (demand 4, edge 1). *)
+  let path = Path.uniform ~edges:2 ~capacity:4 in
+  let t1 = Task.make ~id:1 ~first_edge:1 ~last_edge:1 ~demand:4 ~weight:1.0 in
+  let r = Sap.Elevator.optimal_band ~cap:4 path [ mk 0 2; t1 ] in
+  Alcotest.(check string) "later state wins a merge" "1@0;0@2"
+    (show r.Sap.Elevator.solution)
+
 (* ---------- optimal_band as an exact SAP solver ---------- *)
 
 (* With [cap] = the largest capacity the clip is a no-op, so the DP is an
@@ -191,6 +298,8 @@ let () =
           elevator_respects_cap;
           case "empty" elevator_empty;
           case "state cap flag" elevator_state_cap_flag;
+          elevator_matches_reference;
+          case "tie rule: later optimum wins" tie_rule_band;
         ] );
       ( "exact_dp",
         [
