@@ -130,22 +130,34 @@ let await sl =
 
 (* ---------- shards ---------- *)
 
+(* How a request reaches a shard, which decides everything that differs
+   between verbs: the states a shard must be in to take it, what a
+   failed write or a shard death does to it, and what its reply
+   updates. *)
+type route =
+  | Pure of string
+      (** solve, round-solve: hashed on this key; pure, so re-homed on
+          shard death; counted in per-shard latency and errors *)
+  | Opens of string
+      (** session-open: hashed on this key; the reply's [session=] sid is
+          pinned to the answering shard; failed on shard death (session
+          state is not re-homeable) *)
+  | Direct
+      (** session follow-ups, stats scrapes, shutdown: sent to one given
+          shard (Up or Draining); failed on its death *)
+
 type entry = {
-  e_key : string;  (** consistent-hash key; "" for direct sends *)
+  e_route : route;
   e_req : P.request;  (** as the client sent it (client id) *)
   e_slot : slot;
-  e_client_id : int;
   e_t0 : float;
-  e_solve : bool;
-      (** solves are pure: re-home on shard death.  Direct sends (stats,
-          shutdown) and session verbs fail instead — retrying them
-          elsewhere would answer a different question (session state is
-          not re-homeable). *)
-  e_open : bool;
-      (** a [session-open]: the reader parses the reply's [session=]
-          attribute and pins the new sid to the answering shard *)
   mutable e_attempts : int;
 }
+
+let hash_key = function Pure key | Opens key -> Some key | Direct -> None
+
+let entry route req =
+  { e_route = route; e_req = req; e_slot = slot (); e_t0 = now (); e_attempts = 0 }
 
 type state = Up | Down | Draining | Drained
 
@@ -171,8 +183,8 @@ type shard = {
   mutable sh_pid : int option;
   mutable sh_state : state;
   mutable sh_conn : conn option;
-  mutable sh_requests : int;  (* solves forwarded *)
-  mutable sh_errors : int;  (* error/timeout responses relayed *)
+  mutable sh_requests : int;  (* hashed forwards (solve, round-solve, open) *)
+  mutable sh_errors : int;  (* error/timeout replies relayed for pure verbs *)
   mutable sh_connects : int;
   mutable sh_respawns : int;
   mutable sh_latency : Obs.Metrics.histogram_summary;
@@ -213,6 +225,12 @@ let remove_from_ring t name =
   Mutex.lock t.ring_lock;
   t.ring <- Ring.remove t.ring name;
   Mutex.unlock t.ring_lock
+
+let owner_for t ~key =
+  Mutex.lock t.ring_lock;
+  let o = Ring.owner t.ring key in
+  Mutex.unlock t.ring_lock;
+  o
 
 let add_to_ring t name =
   Mutex.lock t.ring_lock;
@@ -265,11 +283,8 @@ let rewrite_header line client_id =
   match header_spans line with
   | None -> None
   | Some (c, d) ->
-      let rewritten =
-        String.sub line 0 c ^ string_of_int client_id
-        ^ String.sub line d (String.length line - d)
-      in
       let rest = String.sub line d (String.length line - d) in
+      let rewritten = String.sub line 0 c ^ string_of_int client_id ^ rest in
       let status =
         match
           String.split_on_char ' ' (String.trim rest)
@@ -295,10 +310,15 @@ let header_attr line key =
                 (String.length tok - String.length prefix))
          else None)
 
-let fail_entry t entry code message =
+(* An error response made by the router itself: the only kind counted in
+   the top-level [errors] (a shard's own error is relayed, and counted
+   on that shard). *)
+let failure t id code message =
   Atomic.incr t.n_errors;
-  complete entry.e_slot
-    (P.response_to_string (P.Failed { id = entry.e_client_id; code; message }))
+  P.response_to_string (P.Failed { id; code; message })
+
+let fail_entry t entry code message =
+  complete entry.e_slot (failure t (P.request_id entry.e_req) code message)
 
 (* Tear a connection down: wake its reader (EOF), which then runs the
    single shared death path.  The fd itself is closed by whoever joins
@@ -322,15 +342,12 @@ let sleep_interruptible t d =
 
 (* ---------- dispatch, death, recovery ---------- *)
 
-let rec dispatch t entry =
+let rec dispatch t entry key =
   entry.e_attempts <- entry.e_attempts + 1;
   if entry.e_attempts > t.cfg.retry_limit then
     fail_entry t entry P.Internal "router: retry limit exceeded"
   else begin
-    Mutex.lock t.ring_lock;
-    let owner = Ring.owner t.ring entry.e_key in
-    Mutex.unlock t.ring_lock;
-    match owner with
+    match owner_for t ~key with
     | None ->
         if Atomic.get t.stopping then
           fail_entry t entry P.Shutting_down "router draining"
@@ -338,16 +355,31 @@ let rec dispatch t entry =
     | Some name -> (
         match shard_by_name t name with
         | None -> fail_entry t entry P.Internal ("router: unknown shard " ^ name)
-        | Some sh -> forward t sh entry)
+        | Some sh -> ignore (send t sh entry))
   end
 
-and forward t sh entry =
+and retry t entry key =
+  Obs.Metrics.incr c_retries;
+  Atomic.incr t.n_retried;
+  dispatch t entry key
+
+(* The one shard send.  A hashed entry needs the shard Up; if it is not
+   (raced with a death or drain) or the write fails, the entry is
+   re-dispatched — [e_attempts] bounds the loop — and [send] answers
+   [true]: the entry will be completed either way.  A [Direct] entry
+   also goes to a Draining shard ([drain_shard] marks it Draining before
+   sending the shutdown frame); [false] means it was not sent and its
+   slot will never be completed. *)
+and send t sh entry =
   Mutex.lock sh.sh_lock;
-  match (sh.sh_state, sh.sh_conn) with
-  | Up, Some conn ->
+  let key = hash_key entry.e_route in
+  let accepts =
+    match (sh.sh_state, key) with Up, _ | Draining, None -> true | _ -> false
+  in
+  match sh.sh_conn with
+  | Some conn when accepts ->
       let sid = Atomic.fetch_and_add t.seq 1 in
       Hashtbl.replace sh.sh_inflight sid entry;
-      sh.sh_requests <- sh.sh_requests + 1;
       let text = P.request_to_string (with_id entry.e_req sid) in
       let wrote =
         try
@@ -356,22 +388,30 @@ and forward t sh entry =
           true
         with Sys_error _ -> false
       in
-      if wrote then Mutex.unlock sh.sh_lock
+      if wrote then begin
+        if key <> None then sh.sh_requests <- sh.sh_requests + 1;
+        Mutex.unlock sh.sh_lock;
+        true
+      end
       else begin
         Hashtbl.remove sh.sh_inflight sid;
-        sh.sh_requests <- sh.sh_requests - 1;
         Mutex.unlock sh.sh_lock;
         kill_conn conn;
-        Obs.Metrics.incr c_retries;
-        Atomic.incr t.n_retried;
-        dispatch t entry
+        match key with
+        | Some k ->
+            retry t entry k;
+            true
+        | None -> false
       end
-  | _ ->
+  | _ -> (
       Mutex.unlock sh.sh_lock;
-      (* Raced with a death or drain; make sure the ring agrees, pick
-         again.  [e_attempts] bounds the loop. *)
-      remove_from_ring t sh.sh_name;
-      dispatch t entry
+      match key with
+      | Some k ->
+          (* Make sure the ring agrees, then pick again. *)
+          remove_from_ring t sh.sh_name;
+          dispatch t entry k;
+          true
+      | None -> false)
 
 (* Runs exactly once per connection, as the final act of its reader
    domain: clear the shard, re-home orphaned solves, start recovery. *)
@@ -403,12 +443,10 @@ and conn_dead t sh conn =
          sh.sh_name (List.length orphans));
     List.iter
       (fun e ->
-        if e.e_solve then begin
-          Obs.Metrics.incr c_retries;
-          Atomic.incr t.n_retried;
-          dispatch t e
-        end
-        else fail_entry t e P.Internal ("router: shard " ^ sh.sh_name ^ " lost"))
+        match e.e_route with
+        | Pure key -> retry t e key
+        | Opens _ | Direct ->
+            fail_entry t e P.Internal ("router: shard " ^ sh.sh_name ^ " lost"))
       orphans;
     if next = Down then start_recovery t sh conn
   end
@@ -512,77 +550,44 @@ and reader_loop t sh conn fd =
             match entry with
             | None -> Obs.Metrics.incr c_bad_upstream
             | Some e -> (
-                match rewrite_header header e.e_client_id with
+                match rewrite_header header (P.request_id e.e_req) with
                 | None ->
                     Obs.Metrics.incr c_bad_upstream;
                     fail_entry t e P.Internal "router: malformed shard response"
                 | Some (status, header') ->
-                    (* A successful session-open names the new session;
-                       pin it to this shard for follow-up verbs. *)
-                    if e.e_open && String.equal status "session" then begin
-                      match
-                        Option.bind (header_attr header' "session")
-                          int_of_string_opt
-                      with
-                      | Some new_sid ->
-                          Mutex.protect t.sess_lock (fun () ->
-                              Hashtbl.replace t.sess_owners new_sid sh.sh_name)
-                      | None -> ()
-                    end;
-                    if e.e_solve then begin
-                      let dt = now () -. e.e_t0 in
-                      Mutex.lock sh.sh_lock;
-                      sh.sh_latency <-
-                        Obs.Metrics.summary_observe sh.sh_latency dt;
-                      if String.equal status "error"
-                         || String.equal status "timeout"
-                      then begin
-                        sh.sh_errors <- sh.sh_errors + 1;
-                        Atomic.incr t.n_errors
-                      end;
-                      Mutex.unlock sh.sh_lock
-                    end;
+                    (match e.e_route with
+                    | Opens _ when String.equal status "session" -> (
+                        (* A successful session-open names the new
+                           session; pin it to this shard for follow-up
+                           verbs. *)
+                        match
+                          Option.bind (header_attr header' "session")
+                            int_of_string_opt
+                        with
+                        | Some new_sid ->
+                            Mutex.protect t.sess_lock (fun () ->
+                                Hashtbl.replace t.sess_owners new_sid sh.sh_name)
+                        | None -> ())
+                    | Pure _ ->
+                        let dt = now () -. e.e_t0 in
+                        Mutex.protect sh.sh_lock (fun () ->
+                            sh.sh_latency <-
+                              Obs.Metrics.summary_observe sh.sh_latency dt;
+                            if String.equal status "error"
+                               || String.equal status "timeout"
+                            then sh.sh_errors <- sh.sh_errors + 1)
+                    | Opens _ | Direct -> ());
                     complete e.e_slot (frame_text (header' :: List.tl lines)))));
         loop ()
   in
   (try loop () with _ -> ());
   conn_dead t sh conn
 
-(* Send [req] straight to one shard (bypassing the ring) and complete
-   [sl] with its answer.  Allowed while Up or Draining — [drain_shard]
-   marks the shard Draining before sending it the shutdown frame. *)
-let send_direct t sh req sl =
-  Mutex.lock sh.sh_lock;
-  match (sh.sh_state, sh.sh_conn) with
-  | (Up | Draining), Some conn ->
-      let sid = Atomic.fetch_and_add t.seq 1 in
-      let entry =
-        {
-          e_key = "";
-          e_req = req;
-          e_slot = sl;
-          e_client_id = P.request_id req;
-          e_t0 = now ();
-          e_solve = false;
-          e_open = false;
-          e_attempts = 0;
-        }
-      in
-      Hashtbl.replace sh.sh_inflight sid entry;
-      let wrote =
-        try
-          output_string conn.cn_oc (P.request_to_string (with_id req sid));
-          flush conn.cn_oc;
-          true
-        with Sys_error _ -> false
-      in
-      if not wrote then Hashtbl.remove sh.sh_inflight sid;
-      Mutex.unlock sh.sh_lock;
-      if not wrote then kill_conn conn;
-      wrote
-  | _ ->
-      Mutex.unlock sh.sh_lock;
-      false
+(* Send [req] straight to [sh] and wait for its answer; [None] if the
+   shard would not take it. *)
+let call t sh req =
+  let e = entry Direct req in
+  if send t sh e then Some (await e.e_slot) else None
 
 (* ---------- lifecycle ---------- *)
 
@@ -610,22 +615,21 @@ let reap_child sh =
       (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
       sh.sh_pid <- None
 
+(* Graceful stop: the shard answers everything it admitted, acks the
+   [shutdown] frame and exits; the EOF runs the shared death path. *)
+let stop_gracefully t sh conn =
+  ignore (call t sh (P.Shutdown { id = 0 }));
+  join_conn conn
+
 let retire t sh =
   remove_from_ring t sh.sh_name;
   Mutex.lock sh.sh_lock;
   let conn = sh.sh_conn and state = sh.sh_state in
   Mutex.unlock sh.sh_lock;
   (match (conn, state) with
-  | Some c, (Up | Draining) ->
-      if sh.sh_spawn <> None then begin
-        (* Graceful: the shard answers everything it admitted, acks, and
-           exits; the EOF runs the shared death path (stopping is set, so
-           no recovery starts). *)
-        let sl = slot () in
-        if send_direct t sh (P.Shutdown { id = 0 }) sl then ignore (await sl)
-      end
-      else kill_conn c;
-      join_conn c
+  | Some c, (Up | Draining) when sh.sh_spawn <> None ->
+      (* [stopping] is set, so the death path starts no recovery. *)
+      stop_gracefully t sh c
   | Some c, _ ->
       kill_conn c;
       join_conn c
@@ -636,9 +640,7 @@ let retire t sh =
       | Some _, Some pid -> (
           try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
       | _ -> ()));
-  Mutex.lock sh.sh_lock;
-  reap_child sh;
-  Mutex.unlock sh.sh_lock;
+  Mutex.protect sh.sh_lock (fun () -> reap_child sh);
   logf t (Printf.sprintf "event=shard-retired shard=%s" sh.sh_name)
 
 let shutdown t =
@@ -731,12 +733,8 @@ let drain_shard t name =
       match (was_up, conn) with
       | true, Some c ->
           logf t (Printf.sprintf "event=shard-drain shard=%s" name);
-          let sl = slot () in
-          if send_direct t sh (P.Shutdown { id = 0 }) sl then ignore (await sl);
-          join_conn c;
-          Mutex.lock sh.sh_lock;
-          reap_child sh;
-          Mutex.unlock sh.sh_lock;
+          stop_gracefully t sh c;
+          Mutex.protect sh.sh_lock (fun () -> reap_child sh);
           Ok ()
       | _ -> Error ("router: shard " ^ name ^ " is not up"))
 
@@ -746,23 +744,21 @@ let drain_shard t name =
    connection (the shard answers after everything admitted before the
    scrape, FIFO — same semantics as scraping a single serve process). *)
 let scrape_shard t sh =
-  let sl = slot () in
-  if not (send_direct t sh (P.Stats { id = 0 }) sl) then Obs.Json.Null
-  else begin
-    let text = await sl in
-    match String.split_on_char '\n' text with
-    | header :: body
-      when (match rewrite_header header 0 with
-           | Some ("stats", _) -> true
-           | _ -> false) -> (
-        match List.filter (fun l -> l <> "end" && l <> "") body with
-        | [ json_line ] -> (
-            match Obs.Json.of_string json_line with
-            | Ok j -> j
-            | Error _ -> Obs.Json.Null)
-        | _ -> Obs.Json.Null)
-    | _ -> Obs.Json.Null
-  end
+  match call t sh (P.Stats { id = 0 }) with
+  | None -> Obs.Json.Null
+  | Some text -> (
+      match String.split_on_char '\n' text with
+      | header :: body
+        when (match rewrite_header header 0 with
+             | Some ("stats", _) -> true
+             | _ -> false) -> (
+          match List.filter (fun l -> l <> "end" && l <> "") body with
+          | [ json_line ] -> (
+              match Obs.Json.of_string json_line with
+              | Ok j -> j
+              | Error _ -> Obs.Json.Null)
+          | _ -> Obs.Json.Null)
+      | _ -> Obs.Json.Null)
 
 let stats_json t =
   let open Obs.Json in
@@ -820,194 +816,86 @@ let stats_json t =
       ("shards", List shards);
     ]
 
-let owner_for t ~key =
-  Mutex.lock t.ring_lock;
-  let o = Ring.owner t.ring key in
-  Mutex.unlock t.ring_lock;
-  o
-
-let shard_pids t =
-  Array.to_list t.shards
-  |> List.map (fun sh ->
-         Mutex.lock sh.sh_lock;
-         let pid = sh.sh_pid in
-         Mutex.unlock sh.sh_lock;
-         (sh.sh_name, pid))
-
-let draining t = Atomic.get t.stopping
-
 (* ---------- client sessions ---------- *)
 
-
-(* Responses drain on a per-connection {!Pump.t}, written the moment
-   they (and everything queued before them) are ready — see
-   {!Transport.serve_channels} for why flushing from the read loop
-   instead would strand the tail of a quiet connection. *)
-let handle_session t ic oc =
-  Obs.Metrics.incr c_connections;
-  let pump = Pump.create () in
-  let push_text force =
-    Pump.push pump (fun () ->
-        output_string oc (force ());
-        flush oc)
+(* The router's side of {!Transport.serve_frames}: admit one parsed
+   frame and return the thunk that yields its response text. *)
+let handle t parsed =
+  let refuse id code message =
+    let text = failure t id code message in
+    fun () -> text
   in
-  let immediate resp = push_text (fun () -> P.response_to_string resp) in
-  let read_line () = try Some (input_line ic) with End_of_file -> None in
-  let rec loop () =
-    match P.read_frame ~read_line with
-    | None -> ()
-    | Some lines -> (
-        match P.request_of_lines lines with
-        | Error m ->
-            immediate (P.Failed { id = -1; code = P.Bad_request; message = m });
-            loop ()
-        | Ok req ->
-            Obs.Metrics.incr c_requests;
-            Atomic.incr t.n_requests;
-            (match req with
-            | P.Solve { id; params; path; tasks } ->
-                if Atomic.get t.stopping then
-                  immediate
-                    (P.Failed
-                       { id; code = P.Shutting_down; message = "router draining" })
-                else begin
-                  let key =
-                    Fingerprint.solve_key ~problem:"sap"
-                      ~algorithm:params.P.algorithm ~seed:params.P.seed path
-                      tasks
-                  in
-                  let sl = slot () in
-                  let entry =
-                    {
-                      e_key = key;
-                      e_req = req;
-                      e_slot = sl;
-                      e_client_id = id;
-                      e_t0 = now ();
-                      e_solve = true;
-                      e_open = false;
-                      e_attempts = 0;
-                    }
-                  in
-                  Obs.Metrics.incr c_forwarded;
-                  dispatch t entry;
-                  push_text (fun () -> await sl)
-                end
-            | P.Round_solve { id; algorithm; path; tasks; _ } ->
-                if Atomic.get t.stopping then
-                  immediate
-                    (P.Failed
-                       { id; code = P.Shutting_down; message = "router draining" })
-                else begin
-                  (* Same consistent-hash placement as [solve]; the
-                     problem kind in the key keeps the two verbs' cache
-                     populations disjoint on the shards too. *)
-                  let key =
-                    Fingerprint.solve_key ~problem:"round" ~algorithm ~seed:0
-                      path tasks
-                  in
-                  let sl = slot () in
-                  let entry =
-                    {
-                      e_key = key;
-                      e_req = req;
-                      e_slot = sl;
-                      e_client_id = id;
-                      e_t0 = now ();
-                      e_solve = true;
-                      e_open = false;
-                      e_attempts = 0;
-                    }
-                  in
-                  Obs.Metrics.incr c_forwarded;
-                  dispatch t entry;
-                  push_text (fun () -> await sl)
-                end
-            | P.Session_open { id; seed; path; tasks } ->
-                if Atomic.get t.stopping then
-                  immediate
-                    (P.Failed
-                       { id; code = P.Shutting_down; message = "router draining" })
-                else begin
-                  (* Hash the base instance like a solve would: the
-                     session lives on (is pinned to) the owning shard. *)
-                  let key =
-                    Fingerprint.solve_key ~problem:"sap"
-                      ~algorithm:"session-open" ~seed path tasks
-                  in
-                  let sl = slot () in
-                  let entry =
-                    {
-                      e_key = key;
-                      e_req = req;
-                      e_slot = sl;
-                      e_client_id = id;
-                      e_t0 = now ();
-                      e_solve = false;
-                      e_open = true;
-                      e_attempts = 0;
-                    }
-                  in
-                  Obs.Metrics.incr c_forwarded;
-                  dispatch t entry;
-                  push_text (fun () -> await sl)
-                end
-            | P.Session_add _ | P.Session_remove _ | P.Session_resolve _
-            | P.Session_close _ -> (
-                let id = P.request_id req in
-                let sid = Option.get (P.request_session req) in
-                let owner =
-                  Mutex.protect t.sess_lock (fun () ->
-                      Hashtbl.find_opt t.sess_owners sid)
-                in
-                match Option.bind owner (shard_by_name t) with
-                | None ->
-                    immediate
-                      (P.Failed
-                         {
-                           id;
-                           code = P.Unknown_session;
-                           message =
-                             Printf.sprintf "router: unknown session %d" sid;
-                         })
-                | Some sh ->
-                    let sl = slot () in
-                    if send_direct t sh req sl then
-                      let is_close =
-                        match req with P.Session_close _ -> true | _ -> false
-                      in
-                      push_text (fun () ->
-                          let text = await sl in
-                          if is_close then
-                            Mutex.protect t.sess_lock (fun () ->
-                                Hashtbl.remove t.sess_owners sid);
-                          text)
-                    else
-                      immediate
-                        (P.Failed
-                           {
-                             id;
-                             code = P.Unknown_session;
-                             message =
-                               Printf.sprintf
-                                 "router: session %d owner %s unavailable" sid
-                                 sh.sh_name;
-                           }))
-            | P.Ping { id } -> immediate (P.Ack { id })
-            | P.Stats { id } ->
-                push_text (fun () ->
-                    P.response_to_string (P.Stats_reply { id; stats = stats_json t }))
-            | P.Shutdown { id } ->
-                push_text (fun () ->
-                    shutdown t;
-                    P.response_to_string (P.Ack { id })));
-            (match req with P.Shutdown _ -> () | _ -> loop ()))
+  let relay req route =
+    let e = entry route req in
+    Obs.Metrics.incr c_forwarded;
+    Option.iter (dispatch t e) (hash_key route);
+    fun () -> await e.e_slot
   in
-  (try loop () with Sys_error _ -> ());
-  Pump.finish pump
+  match parsed with
+  | Error m -> refuse (-1) P.Bad_request m
+  | Ok req -> (
+      Obs.Metrics.incr c_requests;
+      Atomic.incr t.n_requests;
+      let id = P.request_id req in
+      match req with
+      | (P.Solve _ | P.Round_solve _ | P.Session_open _)
+        when Atomic.get t.stopping ->
+          refuse id P.Shutting_down "router draining"
+      | P.Solve { params; path; tasks; _ } ->
+          relay req
+            (Pure
+               (Fingerprint.solve_key ~problem:"sap"
+                  ~algorithm:params.P.algorithm ~seed:params.P.seed path tasks))
+      | P.Round_solve { algorithm; path; tasks; _ } ->
+          (* Same placement as [solve]; the problem kind in the key keeps
+             the two verbs' cache populations disjoint on the shards. *)
+          relay req
+            (Pure
+               (Fingerprint.solve_key ~problem:"round" ~algorithm ~seed:0 path
+                  tasks))
+      | P.Session_open { seed; path; tasks; _ } ->
+          (* Hash the base instance like a solve would: the session lives
+             on (is pinned to) the owning shard. *)
+          relay req
+            (Opens
+               (Fingerprint.solve_key ~problem:"sap" ~algorithm:"session-open"
+                  ~seed path tasks))
+      | P.Session_add _ | P.Session_remove _ | P.Session_resolve _
+      | P.Session_close _ -> (
+          let sid = Option.get (P.request_session req) in
+          let owner =
+            Mutex.protect t.sess_lock (fun () -> Hashtbl.find_opt t.sess_owners sid)
+          in
+          match Option.bind owner (shard_by_name t) with
+          | None ->
+              refuse id P.Unknown_session
+                (Printf.sprintf "router: unknown session %d" sid)
+          | Some sh ->
+              let e = entry Direct req in
+              if not (send t sh e) then
+                refuse id P.Unknown_session
+                  (Printf.sprintf "router: session %d owner %s unavailable" sid
+                     sh.sh_name)
+              else fun () ->
+                let text = await e.e_slot in
+                (match req with
+                | P.Session_close _ ->
+                    Mutex.protect t.sess_lock (fun () ->
+                        Hashtbl.remove t.sess_owners sid)
+                | _ -> ());
+                text)
+      | P.Ping _ -> fun () -> P.response_to_string (P.Ack { id })
+      | P.Stats _ ->
+          fun () -> P.response_to_string (P.Stats_reply { id; stats = stats_json t })
+      | P.Shutdown _ ->
+          fun () ->
+            shutdown t;
+            P.response_to_string (P.Ack { id }))
 
 let serve ?on_bound ?stop t ~socket_path =
   Transport.serve_unix_sessions ?on_bound ?stop
     ~draining:(fun () -> Atomic.get t.stopping)
-    (fun ic oc -> handle_session t ic oc)
+    (fun ic oc ->
+      Obs.Metrics.incr c_connections;
+      Transport.serve_frames ic oc (handle t))
     ~socket_path

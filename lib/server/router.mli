@@ -99,21 +99,19 @@ val create : ?config:config -> endpoint list -> (t, string) result
     name repeats, or some shard never accepts within
     [connect_attempts]. *)
 
-val handle_session : t -> in_channel -> out_channel -> unit
-(** Serve one client connection to completion (same contract as
-    {!Transport.serve_channels}: FIFO responses, bad frames answered
-    under id [-1], [shutdown] drains the whole router). *)
-
 val serve :
   ?on_bound:(string -> unit) ->
   ?stop:Transport.stopper ->
   t ->
   socket_path:string ->
   unit
-(** Accept clients on a front socket ({!Transport.serve_unix_sessions}
-    with {!handle_session}) until [request_stop] or a client [shutdown]
-    frame.  Does {e not} call {!shutdown}; the caller decides when to
-    tear the fleet down. *)
+(** Accept clients on a front socket ({!Transport.serve_unix_sessions})
+    until [request_stop] or a client [shutdown] frame.  Each connection
+    runs the same frame loop as a single server
+    ({!Transport.serve_frames}: FIFO responses, bad frames answered under
+    id [-1], [shutdown] drains the whole router) with the router's
+    handler in place of {!Server.submit}.  Does {e not} call
+    {!shutdown}; the caller decides when to tear the fleet down. *)
 
 val drain_shard : t -> string -> (unit, string) result
 (** Gracefully retire a shard by name: remove it from the ring (new keys
@@ -125,13 +123,10 @@ val owner_for : t -> key:string -> string option
 (** Current ring owner for a raw key (what a [solve] with this
     fingerprint would hash to).  Exposed for benches and tests. *)
 
-val shard_pids : t -> (string * int option) list
-(** [(name, pid)] per shard; [None] for external shards. *)
-
-val draining : t -> bool
-
 val stats_json : t -> Obs.Json.t
-(** The [sap-router-stats v1] report. *)
+(** The [sap-router-stats v1] report.  Its top-level [errors] counts the
+    error responses the router makes itself; a shard's relayed
+    [error]/[timeout] counts only in that shard's [errors]. *)
 
 val shutdown : t -> unit
 (** Stop routing: mark the router draining, gracefully [shutdown] every

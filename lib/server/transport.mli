@@ -16,6 +16,22 @@
     in-flight, refuse new) and acknowledges {e after} the drain, so a
     client that waits for the ack observes a fully quiesced server. *)
 
+val serve_frames :
+  in_channel ->
+  out_channel ->
+  ((Protocol.request, string) result -> unit -> string) ->
+  unit
+(** The one frame loop, shared by {!serve_channels} and the router's
+    front ({!Router.serve}).  Reads frames until end of input; each
+    parsed frame ([Error] for one whose header does not parse) goes to
+    the handler, which admits the request and returns a thunk that
+    blocks until the full response text is ready.  Thunks are forced
+    and written (one write, one flush each) on the connection's
+    {!Pump}, in admission order.  The loop stops reading after a
+    [shutdown] frame and returns once every pushed response is out; a
+    peer that disappears mid-read or mid-write ends it without
+    raising. *)
+
 val serve_channels : Server.t -> in_channel -> out_channel -> unit
 (** Serve one connection (or a stdio session) to completion.  Returns on
     end of input, after a [shutdown] frame, or when the peer disappears

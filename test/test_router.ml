@@ -1,6 +1,7 @@
 (* Consistent-hash router: ring properties, end-to-end fan-out over
-   in-process shards, drain under load, and the completion-flush
-   regression (a quiet connection must still receive its tail). *)
+   in-process shards, drain under load, the completion-flush
+   regression (a quiet connection must still receive its tail), session
+   pinning, round-solve affinity and the router's error accounting. *)
 
 module Proto = Sap_server.Protocol
 module Server = Sap_server.Server
@@ -300,6 +301,170 @@ let drain_under_load_loses_nothing () =
   (* And a fresh batch still fully succeeds on the survivors. *)
   assert_all_solved instances (batch_through_front fl instances)
 
+(* ---------- sessions, round-solve and error accounting ---------- *)
+
+(* One synchronous front connection.  A 10 s receive timeout turns a
+   hung verb into a test failure instead of a stuck suite. *)
+let with_front fl f =
+  match Client.connect_unix fl.fl_front with
+  | Error m -> Alcotest.failf "connect front: %s" m
+  | Ok fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+          let ic = Unix.in_channel_of_descr fd in
+          let oc = Unix.out_channel_of_descr fd in
+          f (fun ?(tasks = []) req ->
+              match Client.request ~ic ~oc ~tasks_for:(fun _ -> Some tasks) req with
+              | Ok resp -> resp
+              | Error m -> Alcotest.failf "front request: %s" m))
+
+let field k = function
+  | Obs.Json.Obj fields -> (
+      match List.assoc_opt k fields with
+      | Some v -> v
+      | None -> Alcotest.failf "stats field %s missing" k)
+  | _ -> Alcotest.failf "stats field %s: not an object" k
+
+let int_field k j =
+  match field k j with
+  | Obs.Json.Int n -> n
+  | _ -> Alcotest.failf "stats field %s: not an int" k
+
+let shard_stats fl name =
+  match field "shards" (Router.stats_json fl.fl_router) with
+  | Obs.Json.List shards -> (
+      match
+        List.find_opt (fun sh -> field "name" sh = Obs.Json.String name) shards
+      with
+      | Some sh -> sh
+      | None -> Alcotest.failf "no shard %s in stats" name)
+  | _ -> Alcotest.fail "stats shards: not a list"
+
+let router_sessions fl = int_field "sessions" (Router.stats_json fl.fl_router)
+
+let expect_unknown_session what = function
+  | Proto.Failed { code = Proto.Unknown_session; _ } -> ()
+  | _ -> Alcotest.failf "%s: expected unknown-session" what
+
+let open_session (send : ?tasks:Core.Task.t list -> Proto.request -> Proto.response)
+    path tasks =
+  match send ~tasks (Proto.Session_open { id = 1; seed = 3; path; tasks }) with
+  | Proto.Session_reply { session; event = Proto.Sess_opened; solution; _ } ->
+      Helpers.assert_feasible_sap path solution;
+      session
+  | _ -> Alcotest.fail "session-open did not answer opened"
+
+let extra_task = Core.Task.make ~id:5000 ~first_edge:0 ~last_edge:0 ~demand:1 ~weight:3.0
+
+let router_session_round_trip () =
+  with_fleet @@ fun fl ->
+  with_front fl @@ fun send ->
+  let path, tasks = Helpers.tiny_instance 77 in
+  let sid = open_session send path tasks in
+  Alcotest.(check int) "router pins the session" 1 (router_sessions fl);
+  (match send (Proto.Session_add { id = 2; session = sid; task = extra_task }) with
+  | Proto.Session_reply { event = Proto.Sess_ack; session; _ } ->
+      Alcotest.(check int) "ack names the session" sid session
+  | _ -> Alcotest.fail "add-task not acked");
+  let tasks = extra_task :: tasks in
+  (match send ~tasks (Proto.Session_resolve { id = 3; session = sid; cold = false }) with
+  | Proto.Session_reply { event = Proto.Sess_resolved; solution; _ } ->
+      Helpers.assert_feasible_sap path solution
+  | _ -> Alcotest.fail "resolve did not answer resolved");
+  (match send (Proto.Session_close { id = 4; session = sid }) with
+  | Proto.Session_reply { event = Proto.Sess_closed; _ } -> ()
+  | _ -> Alcotest.fail "session-close not acked");
+  expect_unknown_session "resolve after close"
+    (send (Proto.Session_resolve { id = 5; session = sid; cold = false }));
+  Alcotest.(check int) "pin dropped on close" 0 (router_sessions fl)
+
+(* Sessions are not re-homed: once the owner is drained its pins go, and
+   every follow-up answers unknown-session at once. *)
+let router_session_owner_drained () =
+  with_fleet @@ fun fl ->
+  with_front fl @@ fun send ->
+  let path, tasks = Helpers.tiny_instance 91 in
+  let sid = open_session send path tasks in
+  let owner =
+    let key =
+      Fingerprint.solve_key ~problem:"sap" ~algorithm:"session-open" ~seed:3
+        path tasks
+    in
+    match Router.owner_for fl.fl_router ~key with
+    | Some o -> o
+    | None -> Alcotest.fail "no owner for the session key"
+  in
+  (match Router.drain_shard fl.fl_router owner with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "drain %s: %s" owner m);
+  expect_unknown_session "add-task"
+    (send (Proto.Session_add { id = 2; session = sid; task = extra_task }));
+  expect_unknown_session "resolve"
+    (send (Proto.Session_resolve { id = 3; session = sid; cold = false }));
+  expect_unknown_session "session-close"
+    (send (Proto.Session_close { id = 4; session = sid }));
+  Alcotest.(check int) "no pins left" 0 (router_sessions fl)
+
+let router_round_solve_affinity () =
+  with_fleet @@ fun fl ->
+  with_front fl @@ fun send ->
+  let path, tasks = Helpers.tiny_instance 123 in
+  let req = Proto.Round_solve { id = 1; algorithm = "bands"; cache = true; path; tasks } in
+  let owner =
+    let key = Fingerprint.solve_key ~problem:"round" ~algorithm:"bands" ~seed:0 path tasks in
+    match Router.owner_for fl.fl_router ~key with
+    | Some o -> o
+    | None -> Alcotest.fail "no owner for the round key"
+  in
+  let hits () = int_field "hits" (field "cache" (field "server_stats" (shard_stats fl owner))) in
+  let cached () =
+    match send ~tasks req with
+    | Proto.Round_solved { summary; rounds; _ } ->
+        List.iter (Helpers.assert_feasible_sap path) rounds;
+        summary.Proto.r_cached
+    | _ -> Alcotest.fail "round-solve did not answer round-solved"
+  in
+  Alcotest.(check bool) "first round-solve is fresh" false (cached ());
+  let before = hits () in
+  Alcotest.(check bool) "resend is cached" true (cached ());
+  Alcotest.(check int) "the hit lands on the owning shard" (before + 1) (hits ())
+
+(* Top-level [errors] counts error responses the router makes itself;
+   a shard's error is relayed and counted on that shard only. *)
+let router_errors_counted_once () =
+  with_fleet ~shards:1 @@ fun fl ->
+  with_front fl @@ fun send ->
+  let top () = int_field "errors" (Router.stats_json fl.fl_router) in
+  let shard () = int_field "errors" (shard_stats fl "shard-0") in
+  let path, tasks = Helpers.tiny_instance 5 in
+  let params = { default_params with Proto.algorithm = "no-such-algorithm" } in
+  (match send (Proto.Solve { id = 1; params; path; tasks }) with
+  | Proto.Failed { code = Proto.Unknown_algorithm; _ } -> ()
+  | _ -> Alcotest.fail "expected unknown-algorithm from the shard");
+  Alcotest.(check (pair int int)) "relayed shard error: (top, shard)" (0, 1) (top (), shard ());
+  expect_unknown_session "resolve on an unknown session"
+    (send (Proto.Session_resolve { id = 2; session = 12345; cold = false }));
+  Alcotest.(check (pair int int)) "router-made error: (top, shard)" (1, 1) (top (), shard ());
+  (* A frame whose header does not parse is answered by the router too. *)
+  (match Client.connect_unix fl.fl_front with
+  | Error m -> Alcotest.failf "connect front: %s" m
+  | Ok fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let oc = Unix.out_channel_of_descr fd in
+          output_string oc "sap-request v1 9 no-such-verb\nend\n";
+          flush oc;
+          let ic = Unix.in_channel_of_descr fd in
+          let read_line () = try Some (input_line ic) with End_of_file -> None in
+          match Option.map (Proto.response_of_lines ~tasks_for:(fun _ -> None))
+                  (Proto.read_frame ~read_line) with
+          | Some (Ok (Proto.Failed { id = -1; code = Proto.Bad_request; _ })) -> ()
+          | _ -> Alcotest.fail "expected bad-request under id -1"));
+  Alcotest.(check (pair int int)) "bad frame: (top, shard)" (2, 1) (top (), shard ())
+
 (* ---------- loadgen sweep knee ---------- *)
 
 let knee_detection () =
@@ -331,6 +496,11 @@ let () =
           case "response flushes without inbound traffic"
             router_flushes_without_inbound;
           case "drain under load loses nothing" drain_under_load_loses_nothing;
+          case "session round-trip through the front" router_session_round_trip;
+          case "drained session owner answers unknown-session"
+            router_session_owner_drained;
+          case "round-solve affinity + cache hit" router_round_solve_affinity;
+          case "errors counted once" router_errors_counted_once;
         ] );
       ("sweep", [ case "knee detection" knee_detection ]);
     ]
